@@ -38,11 +38,6 @@ let make_instances ~seed ~per_template =
           Tpch_queries.random_instance rng template))
     templates
 
-let fingerprint r =
-  List.map
-    (fun row -> Array.to_list (Array.map Mope_db.Value.to_string row))
-    r.Mope_db.Exec.rows
-
 let with_tmp_dir f =
   let dir = Filename.temp_file "mope_cluster_bench" "" in
   Sys.remove dir;
@@ -65,7 +60,7 @@ let run_config tb ~shards ~instances ~rounds =
         (fun () ->
           let make_proxy template seed =
             Testbed.proxy tb ~template ~rho ~batch_size:25
-              ~fetch:(Topology.fetch topo) ~fetch_many:(Topology.fetch_many topo) ~seed ()
+              ~fetch_many:(Topology.fetch_many topo) ~seed ()
           in
           let proxies =
             [ ( Tpch_queries.date_column Tpch_queries.Q6,
@@ -94,7 +89,7 @@ let run_config tb ~shards ~instances ~rounds =
              byte-identical to the plaintext baseline on every instance. *)
           List.iter
             (fun inst ->
-              if fingerprint (run inst) <> fingerprint (Testbed.run_plain tb inst)
+              if Testbed.fingerprint (run inst) <> Testbed.fingerprint (Testbed.run_plain tb inst)
               then begin
                 Printf.eprintf
                   "FAIL (K=%d): merged result diverges from baseline for %s\n"

@@ -1,5 +1,5 @@
 (* Macro-benchmark for the serving path: the full loopback pipeline
-   (client -> wire v4 -> server -> proxy -> encrypted store) with the
+   (client -> wire v8 -> server -> proxy -> encrypted store) with the
    caching fast path on versus off.
 
    Two configurations run the same workload of repeated TPC-H instances
@@ -43,11 +43,13 @@ open Mope_net
 open Mope_system
 module Summary = Mope_stats.Summary
 
+type caches = { plan_hits : int; plan_misses : int; seg_hits : int; seg_misses : int }
+
 type measured = {
   wall : float;            (* seconds over the timed query loop *)
   latencies_ms : float array;
   rows_delivered : int;
-  counters : Wire.counters;
+  caches : caches;
 }
 
 let templates = [ Tpch_queries.Q6; Tpch_queries.Q4 ]
@@ -61,15 +63,22 @@ let make_instances ~seed ~per_template =
           Tpch_queries.random_instance rng template))
     templates
 
-let fingerprint r =
-  List.map
-    (fun row -> Array.to_list (Array.map Mope_db.Value.to_string row))
-    r.Mope_db.Exec.rows
-
 let query_instance client inst =
   Client.query client ~sql:inst.Tpch_queries.sql
     ~date_column:(Tpch_queries.date_column inst.Tpch_queries.template)
     ~date_lo:inst.Tpch_queries.date_lo ~date_hi:inst.Tpch_queries.date_hi ()
+
+(* The cache counters as an operator sees them: read back out of the
+   server's metrics JSON over the Stats wire op. *)
+let scrape_caches client =
+  let json = (Client.stats client).Wire.metrics_json in
+  let count name =
+    Option.value ~default:0 (Mope_obs.Metrics.json_counter json name)
+  in
+  { plan_hits = count "mope_plan_cache_hits_total";
+    plan_misses = count "mope_plan_cache_misses_total";
+    seg_hits = count "mope_segment_cache_hits_total";
+    seg_misses = count "mope_segment_cache_misses_total" }
 
 let run_config tb ~label ~caching ~instances ~rounds =
   let rho = Some (Testbed.padded_domain ~rho:None) in
@@ -89,8 +98,13 @@ let run_config tb ~label ~caching ~instances ~rounds =
   | [] -> ());
   let service = Service.create ~proxies () in
   let server = Server.start ~handler:(Service.handler service) () in
+  (* The registry is process-wide: each config counts from zero. *)
+  Mope_obs.Metrics.reset_all ();
+  Mope_obs.Metrics.set_enabled true;
   Fun.protect
-    ~finally:(fun () -> Server.shutdown server)
+    ~finally:(fun () ->
+      Mope_obs.Metrics.set_enabled false;
+      Server.shutdown server)
     (fun () ->
       Client.with_client ~port:(Server.port server) (fun client ->
           let lat = ref [] in
@@ -106,14 +120,14 @@ let run_config tb ~label ~caching ~instances ~rounds =
               instances
           done;
           let wall = Unix.gettimeofday () -. t0 in
-          let counters = Client.counters client in
+          let caches = scrape_caches client in
           (* Post-timing correctness gate: every instance must still match
              the plaintext baseline byte for byte. *)
           List.iter
             (fun inst ->
               let baseline = Testbed.run_plain tb inst in
               let served = query_instance client inst in
-              if fingerprint served <> fingerprint baseline then begin
+              if Testbed.fingerprint served <> Testbed.fingerprint baseline then begin
                 Printf.eprintf
                   "FAIL (%s): served result diverges from baseline for %s\n"
                   label inst.Tpch_queries.sql;
@@ -123,7 +137,7 @@ let run_config tb ~label ~caching ~instances ~rounds =
           { wall;
             latencies_ms = Array.of_list (List.rev !lat);
             rows_delivered = !rows;
-            counters }))
+            caches }))
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined sweep (wire v8): depth x connections over one warmed stack. *)
@@ -321,7 +335,7 @@ let run_pipelined_suite tb ~instances ~rounds ~depths ~conns =
                 (fun inst outcome ->
                   let baseline = Testbed.run_plain tb inst in
                   match outcome with
-                  | Ok served when fingerprint served = fingerprint baseline ->
+                  | Ok served when Testbed.fingerprint served = Testbed.fingerprint baseline ->
                     ()
                   | Ok _ ->
                     Printf.eprintf
@@ -342,7 +356,7 @@ let hit_rate hits misses =
 
 let config_json b name m =
   let lat = m.latencies_ms in
-  let c = m.counters in
+  let c = m.caches in
   Printf.bprintf b
     "    \"%s\": {\n\
     \      \"wall_seconds\": %.3f,\n\
@@ -361,10 +375,8 @@ let config_json b name m =
     (Summary.mean lat) (Summary.percentile lat 50.0)
     (Summary.percentile lat 95.0)
     (Array.fold_left Float.max 0.0 lat)
-    c.Wire.plan_cache_hits c.Wire.plan_cache_misses
-    (hit_rate c.Wire.plan_cache_hits c.Wire.plan_cache_misses)
-    c.Wire.segment_cache_hits c.Wire.segment_cache_misses
-    (hit_rate c.Wire.segment_cache_hits c.Wire.segment_cache_misses)
+    c.plan_hits c.plan_misses (hit_rate c.plan_hits c.plan_misses)
+    c.seg_hits c.seg_misses (hit_rate c.seg_hits c.seg_misses)
 
 let rows_per_s p = float p.pp_rows /. Float.max p.pp_wall 1e-9
 
@@ -443,15 +455,12 @@ let () =
       label m.wall
       (Summary.percentile m.latencies_ms 50.0)
       (Summary.percentile m.latencies_ms 95.0)
-      m.rows_delivered m.counters.Wire.plan_cache_hits
-      m.counters.Wire.plan_cache_misses m.counters.Wire.segment_cache_hits
-      m.counters.Wire.segment_cache_misses;
+      m.rows_delivered m.caches.plan_hits m.caches.plan_misses
+      m.caches.seg_hits m.caches.seg_misses;
     m
   in
   let uncached = bench "uncached" false in
-  Mope_obs.Metrics.reset_all ();
   let cached = bench "cached" true in
-  Mope_obs.Metrics.reset_all ();
   let depths =
     if !pipeline_depth > 0 then [ !pipeline_depth ]
     else if !quick then [ 1; 8 ]

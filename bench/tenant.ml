@@ -34,11 +34,6 @@ open Mope_net
 open Mope_tenant
 module Summary = Mope_stats.Summary
 
-let fingerprint r =
-  List.map
-    (fun row -> Array.to_list (Array.map Mope_db.Value.to_string row))
-    r.Mope_db.Exec.rows
-
 let make_instances ~seed ~count =
   let rng = Mope_stats.Rng.create seed in
   List.init count (fun _ -> Tpch_queries.random_instance rng Tpch_queries.Q6)
@@ -93,7 +88,7 @@ let run_timed tb h header ~instances ~rounds ~phase =
         match h header (request_of inst) with
         | Wire.Rows r ->
           lat := (1000.0 *. (Unix.gettimeofday () -. t)) :: !lat;
-          if fingerprint r <> fingerprint (Testbed.run_plain tb inst) then begin
+          if Testbed.fingerprint r <> Testbed.fingerprint (Testbed.run_plain tb inst) then begin
             Printf.eprintf "FAIL (%s): result diverges from baseline for %s\n"
               phase inst.Tpch_queries.sql;
             exit 1
@@ -192,7 +187,7 @@ let () =
         | Wire.Rows r ->
           rot_lat := (1000.0 *. (Unix.gettimeofday () -. t)) :: !rot_lat;
           incr rot_queries;
-          if fingerprint r <> fingerprint (Testbed.run_plain tb inst) then begin
+          if Testbed.fingerprint r <> Testbed.fingerprint (Testbed.run_plain tb inst) then begin
             Printf.eprintf "FAIL (rotation): diverged mid-rotation for %s\n"
               inst.Tpch_queries.sql;
             exit 1

@@ -256,67 +256,16 @@ let resolve_template t (template : Sql_ast.select) =
 (* ------------------------------------------------------------------ *)
 (* The scatter-gather fetch *)
 
-let fetch t ~date_column ~segments ~template =
-  Trace.with_span "scatter_gather" (fun () ->
-      let template = resolve_template t template in
-      let routed = Shard_map.route t.map segments in
-      let n = Array.length t.shards in
-      let results = Array.make n None in
-      let errors = Array.make n None in
-      let shards_hit = ref 0 in
-      let workers =
-        List.concat
-          (List.init n (fun i ->
-               match routed.(i) with
-               | [] -> []
-               | segs ->
-                 incr shards_hit;
-                 Metrics.inc t.shards.(i).m_fetch;
-                 let ast =
-                   Mope_system.Rewrite.add_conjunct template
-                     (Mope_system.Rewrite.cipher_ranges_expr ~column:date_column
-                        ~segments:segs)
-                 in
-                 let sql = Sql_ast.select_to_string ast in
-                 [ Thread.create
-                     (fun () ->
-                       match
-                         on_shard t i (fun c ~epoch ->
-                             Client.fetch c ~epoch ~sql ())
-                       with
-                       | r -> results.(i) <- Some r
-                       | exception e -> errors.(i) <- Some e)
-                     () ]))
-      in
-      List.iter Thread.join workers;
-      Array.iter (function Some e -> raise e | None -> ()) errors;
-      (* Merge in shard order: the slices partition the ciphertext space in
-         ascending order, so concatenation reproduces a single node's
-         ascending index-scan order. *)
-      let merged =
-        Array.to_list results |> List.filter_map Fun.id
-        |> fun rs ->
-        match rs with
-        | [] -> { Exec.columns = []; rows = [] }
-        | first :: _ ->
-          { Exec.columns = first.Exec.columns;
-            rows = List.concat_map (fun r -> r.Exec.rows) rs }
-      in
-      Trace.add_item "shards_hit" !shards_hit;
-      Trace.add_item "rows_merged" (List.length merged.Exec.rows);
-      merged)
-
-(* The batched fetch seam ({!Mope_system.Proxy.fetch_many}): the whole
-   fake+real batch plan of one client query at once. Each shard still gets
-   one worker thread, but all the batches routed to it travel down its one
-   connection as a single pipelined flight ([Client.fetch_batch]) instead
-   of one scatter-gather round per batch. Per shard the flight is
-   all-or-nothing: any failed item raises, so [on_shard] replays the whole
-   list on the next leg (reads are idempotent). *)
+(* The proxy's fetch seam ({!Mope_system.Proxy.fetch_many}): the whole
+   fake+real batch plan of one client query at once. Each shard gets one
+   worker thread, and all the batches routed to it travel down its one
+   connection as a single pipelined flight ([Client.fetch_batch]). Per
+   shard the flight is all-or-nothing: any failed item raises, so
+   [on_shard] replays the whole list on the next leg (reads are
+   idempotent). *)
 let fetch_many t ~date_column ~batches ~template =
   match batches with
   | [] -> []
-  | [ segments ] -> [ fetch t ~date_column ~segments ~template ]
   | batches ->
     Trace.with_span "scatter_gather" (fun () ->
         let template = resolve_template t template in
@@ -375,7 +324,9 @@ let fetch_many t ~date_column ~batches ~template =
         Array.iter (function Some e -> raise e | None -> ()) errors;
         Trace.add_item "shards_hit" !shards_hit;
         Trace.add_item "batches" nb;
-        (* Merge each batch in shard order, exactly as {!fetch} does. *)
+        (* Merge each batch in shard order: the slices partition the
+           ciphertext space in ascending order, so concatenation reproduces
+           a single node's ascending index-scan order. *)
         List.init nb (fun bi ->
             let rs =
               List.filter_map

@@ -1,6 +1,6 @@
 (** Scatter-gather query coordinator over a sharded encrypted store.
 
-    Implements the proxy's {!Mope_system.Proxy.fetch} seam against a fleet
+    Implements the proxy's {!Mope_system.Proxy.fetch_many} seam against a fleet
     of shard stores: route the query's coalesced ciphertext segments over
     the {!Shard_map}, specialize the date-less fetch template per shard,
     fan the sub-fetches out concurrently over the wire, and merge the
@@ -58,19 +58,15 @@ val create :
     are forwarded to {!Mope_net.Client.connect} (with failover-friendly
     defaults: 1 request retry, breaker threshold 3). *)
 
-val fetch : t -> Mope_system.Proxy.fetch
-(** The scatter-gather fetch — pass to {!Mope_system.Proxy.create}. Raises
-    {!Mope_error.Error} when a touched shard has no live leg. *)
-
 val fetch_many : t -> Mope_system.Proxy.fetch_many
-(** The batched fetch seam — pass as [?fetch_many] to
-    {!Mope_system.Proxy.create}. One worker per shard, but all the
+(** The scatter-gather fetch seam — pass as [?fetch_many] to
+    {!Mope_system.Proxy.create}. One worker per touched shard; all the
     batches routed to a shard travel down its connection as a single
-    pipelined flight ({!Mope_net.Client.fetch_batch}) instead of one
-    scatter-gather round trip per batch; per-batch results are merged in
-    shard order exactly as {!fetch} merges. A shard's flight fails over
-    as a unit — any failed item replays the whole list on the next leg
-    (reads are idempotent). *)
+    pipelined flight ({!Mope_net.Client.fetch_batch}), and each batch's
+    rows are merged in shard order. A shard's flight fails over as a unit
+    — any failed item replays the whole list on the next leg (reads are
+    idempotent). Raises {!Mope_error.Error} when a touched shard has no
+    live leg. *)
 
 val apply :
   ?request_id:string ->

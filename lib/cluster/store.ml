@@ -300,13 +300,8 @@ let handler t (_header : Wire.header) = function
             records = c.Wal.records;
             next_pos = c.Wal.next_pos;
             end_pos = c.Wal.end_pos })
-  | Wire.Get_stats ->
-    Wire.Stats
-      { Wire.metrics_text = Metrics.render_prometheus ();
-        metrics_json = Metrics.render_json ();
-        traces = Trace.recent () }
+  | Wire.Get_stats -> Mope_net.Service.stats ()
   | Wire.Query { sql; _ } ->
     unsupported ~sql "query sent to a shard store (stores only serve Fetch)"
-  | Wire.Get_counters -> unsupported "no proxy counters on a shard store"
   | Wire.Open_session _ | Wire.Authenticate _ | Wire.Rotate _ ->
     unsupported "tenant operation sent to a shard store"

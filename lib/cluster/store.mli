@@ -109,7 +109,7 @@ val handler :
   t -> Mope_net.Wire.header -> Mope_net.Wire.request -> Mope_net.Wire.response
 (** Request handler for {!Mope_net.Server.start}: [Ping], [Fetch],
     [Apply], [Wal_since], [Fence] and [Get_stats] are served; [Query] and
-    [Get_counters] answer [Unsupported]. A fencing refusal becomes a
+    the tenant session ops answer [Unsupported]. A fencing refusal becomes a
     structured [Fenced] error naming both epochs; other handler exceptions
     become [Exec_failed]/[Unsupported] errors. Thread-safe. *)
 

@@ -105,8 +105,6 @@ let launch ~enc ~shards ~replicas ~wal_dir ?(wal_sync = false) ?wrap
 
 let coordinator t = t.coord
 
-let fetch t = Coordinator.fetch t.coord
-
 let fetch_many t = Coordinator.fetch_many t.coord
 
 let map t = t.topo_map

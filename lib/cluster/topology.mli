@@ -37,12 +37,9 @@ val launch :
 
 val coordinator : t -> Coordinator.t
 
-val fetch : t -> Mope_system.Proxy.fetch
-(** Shorthand for [Coordinator.fetch (coordinator t)]. *)
-
 val fetch_many : t -> Mope_system.Proxy.fetch_many
-(** Shorthand for [Coordinator.fetch_many (coordinator t)] — the
-    pipelined batch plan fetch. *)
+(** Shorthand for [Coordinator.fetch_many (coordinator t)]: the proxy's
+    fetch seam over this fleet. *)
 
 val map : t -> Shard_map.t
 

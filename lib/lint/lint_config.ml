@@ -101,7 +101,6 @@ let blocking_paths =
     ([ "Client"; "apply" ], "client RPC");
     ([ "Client"; "fence" ], "client RPC");
     ([ "Client"; "wal_since" ], "client RPC");
-    ([ "Client"; "counters" ], "client RPC");
     ([ "Client"; "stats" ], "client RPC");
     ([ "Client"; "open_session" ], "client RPC");
     ([ "Client"; "rotate" ], "client RPC") ]

@@ -60,6 +60,7 @@ let wrap ?(config = hostile) ~seed (io : Transport.t) =
     else io.Transport.write buf pos n
   in
   { Transport.read; write;
+    shutdown = io.Transport.shutdown;
     close =
       (fun () ->
         dead := true;

@@ -195,7 +195,7 @@ let with_client ?host ~port ?timeout ?retries ?backoff ?request_retries
    one shot, the caller redoes the whole handshake. [Rotate] starts a new
    rotation unless it is a pure status poll. *)
 let idempotent = function
-  | Wire.Ping | Wire.Query _ | Wire.Get_counters | Wire.Get_stats
+  | Wire.Ping | Wire.Query _ | Wire.Get_stats
   | Wire.Fetch _ | Wire.Wal_since _ | Wire.Fence _ | Wire.Open_session _ ->
     true
   | Wire.Apply { request_id; _ } -> request_id <> ""
@@ -513,6 +513,7 @@ let with_deadline ~deadline (io : Transport.t) =
         let n = io.Transport.write buf pos len in
         check "write";
         n);
+    shutdown = io.Transport.shutdown;
     close = io.Transport.close }
 
 let set_socket_timeouts t d =
@@ -661,11 +662,6 @@ let wal_since t ?trace_id ~from_pos ~max_bytes () =
   | Wire.Wal_chunk { resync; records; next_pos; end_pos } ->
     { Mope_db.Wal.records; next_pos; end_pos; resync }
   | _ -> Mope_error.raise_error "Client.wal_since: unexpected response"
-
-let counters t =
-  match check_error (rpc t Wire.Get_counters) with
-  | Wire.Counters c -> c
-  | _ -> Mope_error.raise_error "Client.counters: unexpected response"
 
 let stats t =
   match check_error (rpc t Wire.Get_stats) with

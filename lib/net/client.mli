@@ -13,8 +13,8 @@
       the next request (dialing retries transient failures with
       {e jittered} exponential backoff, so a fleet of clients that lost
       the same proxy does not reconnect in lockstep);
-    - idempotent requests (every read: [Ping], [Query], [Get_counters],
-      [Get_stats], [Fetch], [Wal_since], plus the [Fence] control op) are
+    - idempotent requests (every read: [Ping], [Query], [Get_stats],
+      [Fetch], [Wal_since], plus the [Fence] control op) are
       retried up to [request_retries] times with the same jittered
       backoff; [Apply] mutates the remote store and is retried only when
       it carries a [request_id] — the store's dedup table then makes the
@@ -215,9 +215,6 @@ val wal_since :
     op): the WAL records from [from_pos] on, capped at [max_bytes] of
     payload. See {!Mope_db.Wal.since} for cursor semantics, including the
     [resync] signal after a checkpoint truncation. *)
-
-val counters : t -> Wire.counters
-(** The server's aggregate proxy counters. *)
 
 val stats : t -> Wire.stats
 (** The server's observability snapshot: both metric renderings plus its

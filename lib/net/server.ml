@@ -73,9 +73,9 @@ type out_item = {
    thread that ever writes to [io], so concurrently completing requests
    cannot interleave frames; it exits — and closes the socket — once the
    reader is done, no admitted request is still executing ([executing])
-   and the queue is drained. *)
+   and the queue is drained. The socket is reached only through [io], so
+   nothing touches its descriptor number once it is closed. *)
 type conn = {
-  fd : Unix.file_descr;
   io : Transport.t;
   c_lock : Mutex.t;
   c_state : Condition.t;
@@ -104,7 +104,7 @@ type t = {
   lock : Mutex.t;
   state_changed : Condition.t;  (* job queued, conn drained, or stopping *)
   jobs : job Queue.t;  (* admitted requests awaiting a pool worker *)
-  mutable active : Unix.file_descr list;  (* live connection sockets *)
+  mutable active : conn list;  (* live connections *)
   mutable readers : Thread.t list;
   mutable writers : Thread.t list;
   mutable pool : Thread.t list;  (* the shared worker pool *)
@@ -311,17 +311,15 @@ let writer_loop t conn =
               kick the reader out of its blocking read so the connection
               tears down instead of idling until the read timeout. *)
            locked_conn conn (fun () -> conn.write_failed <- true);
-           (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-            with Unix.Unix_error _ -> ()));
+           conn.io.Transport.shutdown ());
       record_latency t ~started:item.o_started ~admitted:item.o_admitted;
       drain ()
   in
   drain ();
   conn.io.Transport.close ();
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
   let self = Thread.id (Thread.self ()) in
   locked t (fun () ->
-      t.active <- List.filter (fun fd' -> fd' != conn.fd) t.active;
+      t.active <- List.filter (fun c -> c != conn) t.active;
       t.writers <- List.filter (fun th -> Thread.id th <> self) t.writers;
       Condition.broadcast t.state_changed)
 
@@ -407,7 +405,7 @@ let accept_loop t =
           match t.config.wrap with None -> base | Some wrap -> wrap base
         in
         let conn =
-          { fd; io;
+          { io;
             c_lock = Mutex.create ();
             c_state = Condition.create ();
             out = Queue.create ();
@@ -419,7 +417,7 @@ let accept_loop t =
         let writer = Thread.create (writer_loop t) conn in
         locked t (fun () ->
             t.stats.connections_accepted <- t.stats.connections_accepted + 1;
-            t.active <- fd :: t.active;
+            t.active <- conn :: t.active;
             t.readers <- reader :: t.readers;
             t.writers <- writer :: t.writers);
         go ()
@@ -496,9 +494,7 @@ let shutdown t =
        order: readers stop producing jobs, the pool drains what remains,
        writers flush and close the sockets. *)
     let live = locked t (fun () -> t.active) in
-    List.iter
-      (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      live;
+    List.iter (fun conn -> conn.io.Transport.shutdown ()) live;
     let readers = locked t (fun () -> t.readers) in
     List.iter Thread.join readers;
     locked t (fun () -> Condition.broadcast t.state_changed);

@@ -2,47 +2,32 @@ open Mope_system
 module Metrics = Mope_obs.Metrics
 module Trace = Mope_obs.Trace
 
-(* A checkout/checkin freelist of proxies for one date column. The pooled
-   server runs the handler on many workers at once; a worker checks a
+(* One proxy per date column behind a checkout flag. The pooled server
+   runs the handler on many workers at once; a worker checks the column's
    proxy out, executes with no lock held, and checks it back in — so the
-   pool mutex guards only the freelist, never a query execution. With one
-   member (the default) same-column queries serialize exactly as the old
-   one-mutex-per-proxy design did, but parked on a condition instead of a
-   held mutex. *)
+   pool mutex guards only the flag, never a query execution, and workers
+   wanting a busy column park on the pool's condition variable. *)
 type pool = {
   lock : Mutex.t;
-  free_nonempty : Condition.t;
-  mutable free : Proxy.t list;
-  all : Proxy.t list;  (* immutable member list, for counter sweeps *)
+  returned : Condition.t;
+  proxy : Proxy.t;
+  mutable busy : bool;
 }
 
-type t = { proxies : (string * pool) list }
-
-let make_pool members =
-  { lock = Mutex.create ();
-    free_nonempty = Condition.create ();
-    free = members;
-    all = members }
-
-let validate columns =
-  if List.length (List.sort_uniq compare columns) <> List.length columns then
-    invalid_arg "Service.create: duplicate date column"
-
-let create_pooled ~proxies () =
-  if proxies = [] then invalid_arg "Service.create: no proxies";
-  validate (List.map fst proxies);
-  { proxies =
-      List.map
-        (fun (col, members) ->
-          if members = [] then
-            invalid_arg ("Service.create: no proxies for column " ^ col);
-          (col, make_pool members))
-        proxies }
+type t = { pools : (string * pool) list }
 
 let create ~proxies () =
-  create_pooled
-    ~proxies:(List.map (fun (col, p) -> (col, [ p ])) proxies)
-    ()
+  let columns = List.map fst proxies in
+  if columns = [] then invalid_arg "Service.create: no proxies";
+  if List.length (List.sort_uniq String.compare columns) <> List.length columns
+  then invalid_arg "Service.create: duplicate date column";
+  { pools =
+      List.map
+        (fun (column, proxy) ->
+          ( column,
+            { lock = Mutex.create (); returned = Condition.create (); proxy;
+              busy = false } ))
+        proxies }
 
 let locked lock f =
   Mutex.lock lock;
@@ -50,71 +35,40 @@ let locked lock f =
 
 let checkout pool =
   locked pool.lock (fun () ->
-      while pool.free = [] do
-        Condition.wait pool.free_nonempty pool.lock
+      while pool.busy do
+        Condition.wait pool.returned pool.lock
       done;
-      match pool.free with
-      | p :: rest ->
-        pool.free <- rest;
-        p
-      | [] ->
-        Mope_error.raise_error
-          "Service.checkout: internal invariant: empty freelist after wait")
+      pool.busy <- true)
 
-let checkin pool p =
+let checkin pool =
   locked pool.lock (fun () ->
-      pool.free <- p :: pool.free;
-      Condition.signal pool.free_nonempty)
+      pool.busy <- false;
+      Condition.signal pool.returned)
 
-let counters t =
-  let base =
-    List.fold_left
-      (fun acc (_, pool) ->
-        List.fold_left
-          (fun acc proxy ->
-            let c = Proxy.counters proxy in
-            { acc with
-              Wire.client_queries =
-                acc.Wire.client_queries + c.Proxy.client_queries;
-              real_pieces = acc.Wire.real_pieces + c.Proxy.real_pieces;
-              fake_queries = acc.Wire.fake_queries + c.Proxy.fake_queries;
-              server_requests =
-                acc.Wire.server_requests + c.Proxy.server_requests;
-              rows_fetched = acc.Wire.rows_fetched + c.Proxy.rows_fetched;
-              rows_delivered = acc.Wire.rows_delivered + c.Proxy.rows_delivered;
-              segment_cache_hits =
-                acc.Wire.segment_cache_hits + c.Proxy.segment_cache_hits;
-              segment_cache_misses =
-                acc.Wire.segment_cache_misses + c.Proxy.segment_cache_misses })
-          acc pool.all)
-      { Wire.client_queries = 0; real_pieces = 0; fake_queries = 0;
-        server_requests = 0; rows_fetched = 0; rows_delivered = 0;
-        plan_cache_hits = 0; plan_cache_misses = 0; segment_cache_hits = 0;
-        segment_cache_misses = 0 }
-      t.proxies
-  in
-  (* Proxies over the same encrypted database share one server database —
-     and hence one plan cache — so dedupe by physical identity before
-     summing, or shared stats would be counted once per proxy. *)
-  let server_dbs =
-    List.fold_left
-      (fun acc (_, pool) ->
-        List.fold_left
-          (fun acc proxy ->
-            let db = Proxy.server_database proxy in
-            if List.exists (fun d -> d == db) acc then acc else db :: acc)
-          acc pool.all)
-      [] t.proxies
-  in
-  let plan_hits, plan_misses =
-    List.fold_left
-      (fun (h, m) db ->
-        match Mope_db.Database.plan_cache_stats db with
-        | None -> (h, m)
-        | Some s -> (h + s.Mope_db.Plan_cache.hits, m + s.Mope_db.Plan_cache.misses))
-      (0, 0) server_dbs
-  in
-  { base with Wire.plan_cache_hits = plan_hits; plan_cache_misses = plan_misses }
+let using t ~date_column f =
+  match List.assoc_opt date_column t.pools with
+  | None -> None
+  | Some pool ->
+    checkout pool;
+    Some
+      (Fun.protect
+         ~finally:(fun () -> checkin pool)
+         (fun () -> Trace.with_span "exec" (fun () -> f pool.proxy)))
+
+let error ?query code message =
+  Wire.Error { code; message; query; retry_after = None }
+
+let answer ~sql ~date_column run =
+  match run () with
+  | Some result -> Wire.Rows result
+  | None ->
+    error Wire.Unsupported ~query:sql ("no proxy serves date column " ^ date_column)
+  | exception e -> error Wire.Exec_failed ~query:sql (Mope_error.describe_exn e)
+
+let query t ~sql ~date_column ~date_lo ~date_hi =
+  answer ~sql ~date_column (fun () ->
+      using t ~date_column (fun proxy ->
+          Proxy.execute proxy ~sql ~date_column ~date_lo ~date_hi))
 
 let stats () =
   Wire.Stats
@@ -124,58 +78,16 @@ let stats () =
 
 let handler t (_header : Wire.header) = function
   | Wire.Ping -> Wire.Pong
-  | Wire.Get_counters -> Wire.Counters (counters t)
   | Wire.Get_stats -> stats ()
+  | Wire.Query { sql; date_column; date_lo; date_hi } ->
+    query t ~sql ~date_column ~date_lo ~date_hi
   | Wire.Fetch { sql; _ } | Wire.Apply { sql; _ } ->
     (* Store ops are served by cluster shard stores (Mope_cluster.Store),
        not by the query frontend. *)
-    Wire.Error
-      { code = Wire.Unsupported;
-        message = "store operation sent to a query frontend";
-        query = Some sql;
-        retry_after = None }
+    error Wire.Unsupported ~query:sql "store operation sent to a query frontend"
   | Wire.Wal_since _ | Wire.Fence _ ->
-    Wire.Error
-      { code = Wire.Unsupported;
-        message = "cluster control operation sent to a query frontend";
-        query = None;
-        retry_after = None }
+    error Wire.Unsupported "cluster control operation sent to a query frontend"
   | Wire.Open_session _ | Wire.Authenticate _ | Wire.Rotate _ ->
-    (* Sessions exist only on the multi-tenant frontend
-       (Mope_tenant.Tenant_service); this single-tenant service has no
-       registry to authenticate against. *)
-    Wire.Error
-      { code = Wire.Unsupported;
-        message = "tenant operation sent to a single-tenant service";
-        query = None;
-        retry_after = None }
-  | Wire.Query { sql; date_column; date_lo; date_hi } -> begin
-    match List.assoc_opt date_column t.proxies with
-    | None ->
-      Wire.Error
-        { code = Wire.Unsupported;
-          message = "no proxy serves date column " ^ date_column;
-          query = Some sql;
-          retry_after = None }
-    | Some pool ->
-      let proxy = checkout pool in
-      let outcome =
-        Fun.protect
-          ~finally:(fun () -> checkin pool proxy)
-          (fun () ->
-            match
-              Trace.with_span "exec" (fun () ->
-                  Proxy.execute proxy ~sql ~date_column ~date_lo ~date_hi)
-            with
-            | result -> Ok result
-            | exception e -> Error e)
-      in
-      (match outcome with
-      | Ok result -> Wire.Rows result
-      | Error e ->
-        Wire.Error
-          { code = Wire.Exec_failed;
-            message = Mope_error.describe_exn e;
-            query = Some sql;
-            retry_after = None })
-  end
+    (* Sessions exist only behind the multi-tenant front door
+       (Mope_tenant.Tenant_service), which ends in this handler too. *)
+    error Wire.Unsupported "tenant operation sent to a single-tenant service"

@@ -1,16 +1,18 @@
-(** Request handler bridging the wire protocol to the proxy pipeline.
+(** The query dispatcher: the one place a [Wire.Query] meets a proxy.
 
-    A service owns a checkout/checkin pool of {!Mope_system.Proxy.t}s per
-    served date column (e.g. [l_shipdate] and [o_orderdate] for the TPC-H
-    testbed) and dispatches each [Wire.Query] to a proxy for its column.
-    {!Mope_system.Proxy.t} is single-threaded (mutable counters, one RNG,
-    one adaptive learner), so a server worker checks one out of the
-    column's freelist, executes with no lock held, and checks it back in;
-    workers wanting a busy column park on the pool's condition variable.
-    With the default one-proxy pools, queries on different columns run
-    concurrently and queries on the same column serialize — the handler
+    A service owns one {!Mope_system.Proxy.t} per served date column (e.g.
+    [l_shipdate] and [o_orderdate] for the TPC-H testbed). A proxy is
+    single-threaded (mutable counters, one RNG, one adaptive learner), so a
+    server worker checks the column's proxy out, executes with no lock
+    held, and checks it back in; workers wanting a busy column park on the
+    column's condition variable. Queries on different columns run
+    concurrently, queries on the same column serialize, and the handler
     never blocks a worker while {e holding} a lock, which is what the
-    pooled {!Server} needs from its handlers. *)
+    pooled {!Server} needs from its handlers.
+
+    [handler] is the single-tenant front door. The multi-tenant one
+    ({!Mope_tenant.Tenant_service}) authenticates, picks the tenant's
+    service for its current key generation, and ends here too. *)
 
 open Mope_system
 
@@ -18,31 +20,38 @@ type t
 
 val create : proxies:(string * Proxy.t) list -> unit -> t
 (** [create ~proxies] with [proxies] mapping a date-column name to the
-    proxy serving it (a pool of one). Raises [Invalid_argument] on an
-    empty or duplicated mapping. *)
+    proxy serving it. Raises [Invalid_argument] on an empty or duplicated
+    mapping. *)
 
-val create_pooled : proxies:(string * Proxy.t list) list -> unit -> t
-(** Like {!create} with several interchangeable proxies per column:
-    same-column queries then execute concurrently, one per member. The
-    members must not share mutable state — build each over its own
-    {!Mope_system.Encrypted_db.t} handle (they may target the same
-    underlying server database; the counter sweep already dedupes the
-    shared plan cache by physical identity). Raises [Invalid_argument] if
-    any column's list is empty. *)
+val using : t -> date_column:string -> (Proxy.t -> 'a) -> 'a option
+(** [using t ~date_column f] runs [f] on [date_column]'s proxy, checked
+    out for the duration and wrapped in an ["exec"] trace span; [None]
+    when no proxy serves the column. *)
+
+val answer :
+  sql:string ->
+  date_column:string ->
+  (unit -> Mope_db.Exec.result option) ->
+  Wire.response
+(** Turn one query's execution into its wire answer: [Rows] on success,
+    [Unsupported] for [None] (no proxy serves [date_column]), and
+    [Exec_failed] with [sql] attached when the execution raises. *)
+
+val query :
+  t ->
+  sql:string ->
+  date_column:string ->
+  date_lo:Mope_db.Date.t ->
+  date_hi:Mope_db.Date.t ->
+  Wire.response
+(** {!Proxy.execute} on the column's proxy, answered as by {!answer}. *)
 
 val handler : t -> Wire.header -> Wire.request -> Wire.response
-(** [Ping] → [Pong]; [Get_counters] → the field-wise sum over all proxies;
-    [Get_stats] → the observability snapshot ({!stats}); [Query] → [Rows]
-    via {!Proxy.execute} (wrapped in an ["exec"] trace span), or a
-    structured [Wire.Error] ([Unsupported] for an unknown date column,
-    [Exec_failed] with the query attached when the pipeline raises).
-    The header is ignored: this frontend is single-tenant, so session
-    ops answer [Unsupported] (see {!Mope_tenant.Tenant_service} for the
-    session-aware dispatcher). *)
+(** [Ping] → [Pong]; [Get_stats] → the observability snapshot
+    ({!stats}); [Query] → {!query}. The header is ignored: this front
+    door is single-tenant, so session ops, like store and cluster ops,
+    answer [Unsupported]. *)
 
 val stats : unit -> Wire.response
 (** The [Stats] response served for [Get_stats]: current
     {!Mope_obs.Metrics} renderings plus {!Mope_obs.Trace.recent}. *)
-
-val counters : t -> Wire.counters
-(** The same aggregate [Get_counters] reports, for in-process callers. *)

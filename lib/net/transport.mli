@@ -15,12 +15,17 @@ type t = {
   write : bytes -> int -> int -> int;
       (** [write buf pos len] sends at most [len] bytes from [pos]; returns
           the count accepted (possibly short). *)
+  shutdown : unit -> unit;
+      (** Stop both directions without releasing the resource, so a thread
+          blocked in [read] wakes up. A no-op once closed. *)
   close : unit -> unit;  (** Release the underlying resource. Idempotent. *)
 }
 
 val of_fd : Unix.file_descr -> t
 (** The identity transport over a connected socket (or any fd). [close]
-    swallows [Unix.Unix_error] so double-closes are harmless. *)
+    closes the descriptor at most once, and [shutdown] does nothing after
+    it: a newer connection may have reused the number. Both swallow
+    [Unix.Unix_error]. *)
 
 val of_strings : string list -> t
 (** An in-memory read-only transport that replays the given chunks one

@@ -28,19 +28,6 @@ let max_tenant_id = 64
 
 let max_mac = 128
 
-type counters = {
-  client_queries : int;
-  real_pieces : int;
-  fake_queries : int;
-  server_requests : int;
-  rows_fetched : int;
-  rows_delivered : int;
-  plan_cache_hits : int;
-  plan_cache_misses : int;
-  segment_cache_hits : int;
-  segment_cache_misses : int;
-}
-
 type stats = {
   metrics_text : string;
   metrics_json : string;
@@ -59,7 +46,6 @@ type request =
       date_lo : Date.t;
       date_hi : Date.t;
     }
-  | Get_counters
   | Get_stats
   | Fetch of { sql : string; epoch : int }
   | Apply of { sql : string; epoch : int; request_id : string }
@@ -82,7 +68,6 @@ type error_code =
 type response =
   | Pong
   | Rows of Exec.result
-  | Counters of counters
   | Stats of stats
   | Applied of { wal_pos : int }
   | Wal_chunk of {
@@ -228,11 +213,12 @@ let get_value cur =
   | n -> fail "unknown value tag %d" n
 
 (* ------------------------------------------------------------------ *)
-(* Message tags. Requests live below 0x80, responses at or above it. *)
+(* Message tags. Requests live below 0x80, responses at or above it. 0x03
+   and 0x83 (the retired Get_counters/Counters pair) stay unassigned so a
+   stale peer's frame decodes as an unknown tag, never as another op. *)
 
 let tag_ping = 0x01
 let tag_query = 0x02
-let tag_get_counters = 0x03
 let tag_get_stats = 0x04
 let tag_fetch = 0x05
 let tag_apply = 0x06
@@ -243,7 +229,6 @@ let tag_authenticate = 0x0A
 let tag_rotate = 0x0B
 let tag_pong = 0x81
 let tag_rows = 0x82
-let tag_counters = 0x83
 let tag_stats = 0x84
 let tag_applied = 0x85
 let tag_wal_chunk = 0x86
@@ -359,7 +344,6 @@ let encode_request ?(trace_id = "") ?(session = "") ?(req_id = 0) req =
         put_string buf date_column;
         put_int buf date_lo;
         put_int buf date_hi)
-  | Get_counters -> payload_req header tag_get_counters (fun _ -> ())
   | Get_stats -> payload_req header tag_get_stats (fun _ -> ())
   | Fetch { sql; epoch } ->
     check_epoch epoch;
@@ -413,7 +397,6 @@ let decode_request data =
       let date_hi = get_int cur in
       Query { sql; date_column; date_lo; date_hi }
     end
-    else if tag = tag_get_counters then Get_counters
     else if tag = tag_get_stats then Get_stats
     else if tag = tag_fetch then begin
       let sql = get_string cur in
@@ -491,18 +474,6 @@ let encode_response ?(req_id = 0) resp =
             put_int buf (Array.length row);
             Array.iter (put_value buf) row)
           result.Exec.rows)
-  | Counters c ->
-    payload_resp req_id tag_counters (fun buf ->
-        put_int buf c.client_queries;
-        put_int buf c.real_pieces;
-        put_int buf c.fake_queries;
-        put_int buf c.server_requests;
-        put_int buf c.rows_fetched;
-        put_int buf c.rows_delivered;
-        put_int buf c.plan_cache_hits;
-        put_int buf c.plan_cache_misses;
-        put_int buf c.segment_cache_hits;
-        put_int buf c.segment_cache_misses)
   | Stats s ->
     payload_resp req_id tag_stats (fun buf ->
         put_string buf s.metrics_text;
@@ -591,22 +562,6 @@ let decode_response data =
             row)
       in
       Rows { Exec.columns; rows }
-    end
-    else if tag = tag_counters then begin
-      let client_queries = get_int cur in
-      let real_pieces = get_int cur in
-      let fake_queries = get_int cur in
-      let server_requests = get_int cur in
-      let rows_fetched = get_int cur in
-      let rows_delivered = get_int cur in
-      let plan_cache_hits = get_int cur in
-      let plan_cache_misses = get_int cur in
-      let segment_cache_hits = get_int cur in
-      let segment_cache_misses = get_int cur in
-      Counters
-        { client_queries; real_pieces; fake_queries; server_requests;
-          rows_fetched; rows_delivered; plan_cache_hits; plan_cache_misses;
-          segment_cache_hits; segment_cache_misses }
     end
     else if tag = tag_stats then begin
       let metrics_text = get_string cur in

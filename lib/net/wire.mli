@@ -37,12 +37,13 @@ val version : int
     client-minted [request_id] on [Apply] for exactly-once retries, the
     [Fence] request with its [Epoch_state] response, and the [Fenced]
     error code; v5 added the cluster store/replication ops
-    [Fetch]/[Apply]/[Wal_since] and their responses; v4 added the
-    cache-counter fields to {!counters}; v3 added a trace-id field to the
-    request header; v2 added the [retry_after] field to error responses).
-    A decoder rejects frames whose version byte differs — version bumps
-    are breaking by design; additions that only define new tags do not
-    bump it. The one exception is [Unsupported_version] (tag 0xBE), whose
+    [Fetch]/[Apply]/[Wal_since] and their responses; v4 added cache
+    fields to the since-retired [Get_counters]/[Counters] pair; v3 added a
+    trace-id field to the request header; v2 added the [retry_after] field
+    to error responses). A decoder rejects frames whose version byte
+    differs — version bumps are breaking by design; adding or retiring a
+    tag does not bump it (a retired tag decodes as unknown, a structured
+    [Bad_frame]). The one exception is [Unsupported_version] (tag 0xBE), whose
     frozen single-integer body decodes under any version byte: it exists
     precisely to tell a mismatched peer which version the server speaks. *)
 
@@ -70,25 +71,11 @@ val max_frame : int
     rejected before any allocation, so a malicious or corrupt header cannot
     make either side allocate unbounded memory. *)
 
-(** Snapshot of the proxy-side obfuscation and cache counters (see
-    {!Mope_system.Proxy.counters}), immutable for transport. The cache
-    fields aggregate over the service: segment-cache numbers sum across
-    proxies, plan-cache numbers across distinct server databases. *)
-type counters = {
-  client_queries : int;
-  real_pieces : int;
-  fake_queries : int;
-  server_requests : int;
-  rows_fetched : int;
-  rows_delivered : int;
-  plan_cache_hits : int;
-  plan_cache_misses : int;
-  segment_cache_hits : int;
-  segment_cache_misses : int;
-}
-
 (** Observability snapshot served by {!Get_stats}: both metric renderings
-    plus the server's recent trace ring (see {!Mope_obs}). *)
+    plus the server's recent trace ring (see {!Mope_obs}). This is the one
+    stats channel: the proxy's obfuscation and cache counters travel as the
+    [mope_proxy_*], [mope_segment_cache_*] and [mope_plan_cache_*] metric
+    families (read one back with {!Mope_obs.Metrics.json_counter}). *)
 type stats = {
   metrics_text : string;  (** Prometheus text exposition *)
   metrics_json : string;
@@ -116,7 +103,6 @@ type request =
       date_lo : Date.t;         (** inclusive range start *)
       date_hi : Date.t;         (** inclusive range end *)
     }
-  | Get_counters
   | Get_stats
   | Fetch of { sql : string; epoch : int }
       (** cluster-store read: run one SELECT against the shard's database
@@ -175,7 +161,6 @@ type error_code =
 type response =
   | Pong
   | Rows of Exec.result
-  | Counters of counters
   | Stats of stats
   | Applied of { wal_pos : int }
       (** the statement is applied and logged; [wal_pos] is the shard WAL's

@@ -449,6 +449,26 @@ let render_json () =
     (String.concat "," (List.rev !gauges))
     (String.concat "," (List.rev !histograms))
 
+(* The value of one unlabeled counter in a [render_json] document — the
+   shape a remote [Stats] scrape carries. *)
+let json_counter doc name =
+  let needle =
+    Printf.sprintf "{\"name\":\"%s\",\"labels\":{},\"value\":" (json_escape name)
+  in
+  let n = String.length needle and len = String.length doc in
+  let rec find i =
+    if i + n > len then None
+    else if String.equal (String.sub doc i n) needle then Some (i + n)
+    else find (i + 1)
+  in
+  let digit i = i < len && (match doc.[i] with '0' .. '9' | '-' -> true | _ -> false) in
+  Option.bind (find 0) (fun start ->
+      let stop = ref start in
+      while digit !stop do
+        incr stop
+      done;
+      int_of_string_opt (String.sub doc start (!stop - start)))
+
 (* ---------- cardinality-guard drop counter ---------- *)
 
 let labels_dropped_total =

@@ -103,3 +103,8 @@ val render_prometheus : unit -> string
 val render_json : unit -> string
 (** Compact JSON: counters/gauges with values, histograms with count, sum
     and p50/p95/p99 estimates. *)
+
+val json_counter : string -> string -> int option
+(** [json_counter doc name] reads the unlabeled counter (or gauge) [name]
+    back out of a {!render_json} document — e.g. the [metrics_json] of a
+    remote [Stats] scrape. [None] when [doc] has no such metric. *)

@@ -20,6 +20,10 @@ let m_server_requests =
   Metrics.counter ~help:"Batched fetches sent to the untrusted server"
     "mope_proxy_server_requests_total" ()
 
+let m_real_pieces =
+  Metrics.counter ~help:"Real tau_k pieces of client queries executed"
+    "mope_proxy_real_pieces_total" ()
+
 let m_fakes =
   Metrics.counter ~help:"Fake (cover-traffic) queries issued"
     "mope_proxy_fake_queries_total" ()
@@ -64,12 +68,6 @@ type mode =
   | Static of Scheduler.t
   | Learning of Adaptive.t
 
-type fetch =
-  date_column:string ->
-  segments:(int * int) list ->
-  template:Sql_ast.select ->
-  Exec.result
-
 type fetch_many =
   date_column:string ->
   batches:(int * int) list list ->
@@ -90,27 +88,23 @@ type t = {
          start domain [0, m) bounds the table. *)
 }
 
-(* The single-node fetch: specialize the date-less template with the
-   ciphertext ranges and run it on the local server database. A cluster
-   coordinator substitutes its scatter-gather here; [add_conjunct] keeps the
-   AST — and hence the plan-cache key — identical on both paths. *)
-let local_fetch enc ~date_column ~segments ~template =
-  let fetch_ast =
-    Rewrite.add_conjunct template
-      (Rewrite.cipher_ranges_expr ~column:date_column ~segments)
-  in
-  Database.query_ast (Encrypted_db.server enc) fetch_ast
+(* The single-node fetch: specialize the date-less template with each
+   batch's ciphertext ranges and run it on the local server database. A
+   cluster coordinator substitutes its scatter-gather here; [add_conjunct]
+   keeps the AST — and hence the plan-cache key — identical on both
+   paths. *)
+let local_fetch_many enc ~date_column ~batches ~template =
+  List.map
+    (fun segments ->
+      Database.query_ast (Encrypted_db.server enc)
+        (Rewrite.add_conjunct template
+           (Rewrite.cipher_ranges_expr ~column:date_column ~segments)))
+    batches
 
-let make ~enc ~mode ~k ~batch_size ~seed ~caching ~fetch ~fetch_many =
+let make ~enc ~mode ~k ~batch_size ~seed ~caching ~fetch_many =
   if batch_size < 1 then invalid_arg "Proxy.create: batch_size";
   let fetch_many =
-    match fetch_many with
-    | Some f -> f
-    | None ->
-      let fetch = match fetch with Some f -> f | None -> local_fetch enc in
-      fun ~date_column ~batches ~template ->
-        List.map (fun segments -> fetch ~date_column ~segments ~template)
-          batches
+    match fetch_many with Some f -> f | None -> local_fetch_many enc
   in
   { enc; mode; k; batch_size; fetch_many;
     rng = Rng.create seed;
@@ -120,14 +114,14 @@ let make ~enc ~mode ~k ~batch_size ~seed ~caching ~fetch ~fetch_many =
         segment_cache_hits = 0; segment_cache_misses = 0 };
     seg_cache = (if caching then Some (Hashtbl.create 256) else None) }
 
-let create ~enc ~scheduler ?(batch_size = 1) ?(caching = true) ?fetch
-    ?fetch_many ~seed () =
+let create ~enc ~scheduler ?(batch_size = 1) ?(caching = true) ?fetch_many
+    ~seed () =
   if Scheduler.m scheduler <> Encrypted_db.date_domain enc then
     invalid_arg "Proxy.create: scheduler domain <> encrypted date domain";
   make ~enc ~mode:(Static scheduler) ~k:(Scheduler.k scheduler) ~batch_size ~seed
-    ~caching ~fetch ~fetch_many
+    ~caching ~fetch_many
 
-let create_adaptive ~enc ~k ?rho ?(batch_size = 1) ?(caching = true) ?fetch
+let create_adaptive ~enc ~k ?rho ?(batch_size = 1) ?(caching = true)
     ?fetch_many ~seed () =
   let m = Encrypted_db.date_domain enc in
   let amode =
@@ -136,7 +130,7 @@ let create_adaptive ~enc ~k ?rho ?(batch_size = 1) ?(caching = true) ?fetch
     | Some rho -> Adaptive.Periodic rho
   in
   make ~enc ~mode:(Learning (Adaptive.create ~m ~k ~mode:amode)) ~k ~batch_size
-    ~seed ~caching ~fetch ~fetch_many
+    ~seed ~caching ~fetch_many
 
 let adaptive_state t =
   match t.mode with Learning a -> Some a | Static _ -> None
@@ -376,6 +370,7 @@ let fetch_decrypted t ~sql ~date_column ~date_lo ~date_hi =
   t.counters.client_queries <- t.counters.client_queries + 1;
   t.counters.real_pieces <- t.counters.real_pieces + List.length pieces;
   Metrics.inc m_queries;
+  Metrics.inc ~by:(List.length pieces) m_real_pieces;
   let fakes_before = t.counters.fake_queries in
   let executed = plan_executions t pieces in
   Metrics.inc ~by:(t.counters.fake_queries - fakes_before) m_fakes;
@@ -497,7 +492,9 @@ let fetch_decrypted t ~sql ~date_column ~date_lo ~date_hi =
    plaintext rows (possibly pooled from several fetch_decrypted calls). *)
 let eval_over t ~ast rows =
   Trace.with_span "local_eval" (fun () ->
-      let local = Database.create () in
+      (* A per-query scratch database never sees a statement twice, so a
+         plan cache there would only count misses. *)
+      let local = Database.create ~plan_cache_capacity:0 () in
       let fetched =
         Database.create_table local ~name:"__fetched"
           ~schema:(combined_schema t.enc ast.Sql_ast.from)

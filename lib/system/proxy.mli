@@ -32,40 +32,30 @@ type counters = {
 
 type t
 
-type fetch =
-  date_column:string ->
-  segments:(int * int) list ->
-  template:Sql_ast.select ->
-  Exec.result
-(** The proxy's server-fetch seam. [template] is the client statement
-    stripped to a fetch ([SELECT * …]) with every [date_column] predicate
-    removed; the implementation must return the (still encrypted) rows
-    matching [template] with [column BETWEEN a AND b OR …] over [segments]
-    conjoined — what {!Rewrite.add_conjunct} of
-    {!Rewrite.cipher_ranges_expr} expresses. The default runs exactly that
-    against the local {!Encrypted_db.server}; a cluster coordinator
-    substitutes its scatter-gather fan-out here. *)
-
 type fetch_many =
   date_column:string ->
   batches:(int * int) list list ->
   template:Sql_ast.select ->
   Exec.result list
-(** The batched form of the fetch seam: one client query's whole execution
+(** The proxy's server-fetch seam: one client query's whole execution
     plan — every MakeQueries fake+real batch, each already reduced to its
     coalesced ciphertext segments — in a single call, answered positionally
-    (one {!Exec.result} per batch, same order). The proxy always goes
-    through this seam; the default wraps [fetch] in a sequential map, while
-    a remote implementation can ship all batches down one pipelined
-    connection ({!Mope_net.Client.pipeline}) in a single round trip instead
-    of one per batch. *)
+    (one {!Exec.result} per batch, same order). [template] is the client
+    statement stripped to a fetch ([SELECT * …]) with every [date_column]
+    predicate removed; batch [i]'s result must be the (still encrypted)
+    rows matching [template] with [column BETWEEN a AND b OR …] over
+    [batches.(i)] conjoined — what {!Rewrite.add_conjunct} of
+    {!Rewrite.cipher_ranges_expr} expresses. The default runs exactly that
+    against the local {!Encrypted_db.server}, one statement per batch; a
+    cluster coordinator substitutes its scatter-gather, shipping all
+    batches down one pipelined connection per shard in a single round
+    trip. *)
 
 val create :
   enc:Encrypted_db.t ->
   scheduler:Mope_core.Scheduler.t ->
   ?batch_size:int ->
   ?caching:bool ->
-  ?fetch:fetch ->
   ?fetch_many:fetch_many ->
   seed:int64 ->
   unit ->
@@ -84,7 +74,6 @@ val create_adaptive :
   ?rho:int ->
   ?batch_size:int ->
   ?caching:bool ->
-  ?fetch:fetch ->
   ?fetch_many:fetch_many ->
   seed:int64 ->
   unit ->

@@ -32,6 +32,9 @@ let sizes t = t.sizes
 
 let run_plain t instance = Database.query t.plain instance.Tpch_queries.sql
 
+let fingerprint (r : Exec.result) =
+  List.map (fun row -> Array.to_list (Array.map Value.to_string row)) r.Exec.rows
+
 let padded_domain ~rho =
   let m = Tpch.date_domain in
   match rho with
@@ -67,7 +70,7 @@ let encrypted_for ?(ope_cache = true) t ~rho =
     t.encrypted <- ((rho, ope_cache), enc) :: t.encrypted;
     enc
 
-let proxy_over enc ~template ~rho ?batch_size ?caching ?fetch ?fetch_many
+let proxy_over enc ~template ~rho ?batch_size ?caching ?fetch_many
     ?(seed = 99L) () =
   let m = Encrypted_db.date_domain enc in
   let q = Tpch_queries.start_distribution ~domain:m template in
@@ -79,12 +82,12 @@ let proxy_over enc ~template ~rho ?batch_size ?caching ?fetch ?fetch_many
   let scheduler =
     Scheduler.create ~m ~k:(Tpch_queries.fixed_length template) ~mode ~q
   in
-  Proxy.create ~enc ~scheduler ?batch_size ?caching ?fetch ?fetch_many ~seed ()
+  Proxy.create ~enc ~scheduler ?batch_size ?caching ?fetch_many ~seed ()
 
-let proxy t ~template ~rho ?batch_size ?caching ?ope_cache ?fetch ?fetch_many
+let proxy t ~template ~rho ?batch_size ?caching ?ope_cache ?fetch_many
     ?(seed = 99L) () =
   proxy_over (encrypted_for ?ope_cache t ~rho) ~template ~rho ?batch_size
-    ?caching ?fetch ?fetch_many ~seed ()
+    ?caching ?fetch_many ~seed ()
 
 let run_encrypted proxy instance =
   Proxy.execute proxy ~sql:instance.Tpch_queries.sql

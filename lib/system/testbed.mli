@@ -26,6 +26,10 @@ val sizes : t -> Tpch.sizes
 val run_plain : t -> Tpch_queries.instance -> Mope_db.Exec.result
 (** The unencrypted baseline: execute the instance directly. *)
 
+val fingerprint : Mope_db.Exec.result -> string list list
+(** The rows rendered cell by cell: the byte-identity gate compares a
+    served answer's fingerprint with {!run_plain}'s. *)
+
 val encrypted_for : ?ope_cache:bool -> t -> rho:int option -> Encrypted_db.t
 (** Build (and cache) the encrypted twin whose date domain is padded for
     [rho] ([None] = no padding, QueryU). Encrypts [l_shipdate] and
@@ -46,7 +50,6 @@ val proxy_over :
   rho:int option ->
   ?batch_size:int ->
   ?caching:bool ->
-  ?fetch:Proxy.fetch ->
   ?fetch_many:Proxy.fetch_many ->
   ?seed:int64 ->
   unit ->
@@ -62,15 +65,14 @@ val proxy :
   ?batch_size:int ->
   ?caching:bool ->
   ?ope_cache:bool ->
-  ?fetch:Proxy.fetch ->
   ?fetch_many:Proxy.fetch_many ->
   ?seed:int64 ->
   unit ->
   Proxy.t
 (** A proxy configured for one query template: k = the template's fixed
     length, Q = the template's (known) start distribution, QueryU when
-    [rho = None] and QueryP\[ρ\] otherwise. [caching] and [fetch] (e.g. a
-    cluster coordinator's scatter-gather) are forwarded to {!Proxy.create},
+    [rho = None] and QueryP\[ρ\] otherwise. [caching] and [fetch_many] (e.g.
+    a cluster coordinator's scatter-gather) are forwarded to {!Proxy.create},
     [ope_cache] to {!encrypted_for}. *)
 
 val run_encrypted : Proxy.t -> Tpch_queries.instance -> Mope_db.Exec.result

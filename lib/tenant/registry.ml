@@ -53,6 +53,7 @@ let load_tenants_file path =
 type generation = {
   enc : Encrypted_db.t;
   proxies : (string * Proxy.t) list;
+  service : Mope_net.Service.t;
 }
 
 type tenant = {
@@ -82,7 +83,9 @@ let generation_key t ~id ~generation =
        ~parts:[ "tenant-key"; id; string_of_int generation ])
     32
 
-let build_generation t enc = { enc; proxies = t.make_proxies enc }
+let build_generation t enc =
+  let proxies = t.make_proxies enc in
+  { enc; proxies; service = Mope_net.Service.create ~proxies () }
 
 let create ~master_key ~make_enc ~make_proxies ~configs () =
   if configs = [] then invalid_arg "Registry.create: no tenants";
@@ -116,3 +119,7 @@ let create ~master_key ~make_enc ~make_proxies ~configs () =
 let find t id = Hashtbl.find_opt t.tenants id
 
 let ids t = t.order
+
+let locked tenant f =
+  Mutex.lock tenant.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock tenant.lock) f

@@ -12,8 +12,8 @@
     The registry also carries each tenant's rotation state: the {e key
     generation} counter and, while an online rotation is in flight, the
     incoming generation being filled by {!Rotation}. All per-tenant state
-    is guarded by the tenant's own lock, so tenants never contend with
-    each other. *)
+    is guarded by the tenant's own lock ({!locked}), so tenants never
+    contend with each other. *)
 
 open Mope_system
 
@@ -38,6 +38,7 @@ val load_tenants_file : string -> config list
 type generation = {
   enc : Encrypted_db.t;
   proxies : (string * Proxy.t) list;  (** date column → proxy over [enc] *)
+  service : Mope_net.Service.t;  (** the query dispatcher over [proxies] *)
 }
 
 type tenant = {
@@ -80,4 +81,7 @@ val generation_key : t -> id:string -> generation:int -> string
 
 val build_generation : t -> Encrypted_db.t -> generation
 (** Wrap an encrypted handle (e.g. a rotation's move target) with freshly
-    built proxies. *)
+    built proxies and their dispatcher. *)
+
+val locked : tenant -> (unit -> 'a) -> 'a
+(** Run [f] holding the tenant's lock. *)

@@ -8,10 +8,6 @@ type status = {
   rows_total : int;
 }
 
-let locked (tenant : Registry.tenant) f =
-  Mutex.lock tenant.Registry.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock tenant.Registry.lock) f
-
 let status_locked (tenant : Registry.tenant) =
   match tenant.Registry.move with
   | None ->
@@ -22,7 +18,7 @@ let status_locked (tenant : Registry.tenant) =
     { state = "rotating"; generation = tenant.Registry.generation;
       rows_moved; rows_total }
 
-let status tenant = locked tenant (fun () -> status_locked tenant)
+let status tenant = Registry.locked tenant (fun () -> status_locked tenant)
 
 let rotations_started tenant_id =
   Metrics.counter "mope_tenant_rotations_started_total"
@@ -33,7 +29,7 @@ let rotations_completed tenant_id =
     ~help:"Online key rotations cut over" ~labels:[ ("tenant", tenant_id) ] ()
 
 let start reg (tenant : Registry.tenant) =
-  locked tenant (fun () ->
+  Registry.locked tenant (fun () ->
       (match tenant.Registry.move with
       | Some _ -> ()  (* already rotating: report, don't restart *)
       | None ->
@@ -56,7 +52,7 @@ let start reg (tenant : Registry.tenant) =
    the tenant lock, so readers never observe a half-moved chunk or a
    half-installed generation. *)
 let step _reg (tenant : Registry.tenant) ~chunk_rows =
-  locked tenant (fun () ->
+  Registry.locked tenant (fun () ->
       match tenant.Registry.move with
       | None -> true
       | Some (mv, incoming) ->
@@ -70,17 +66,17 @@ let step _reg (tenant : Registry.tenant) ~chunk_rows =
         end
         else false)
 
+let drive reg tenant ~chunk_rows ~should_stop =
+  let rec loop () =
+    if should_stop () then ()  (* killed: move state stays resumable *)
+    else if step reg tenant ~chunk_rows then ()
+    else begin
+      Thread.yield ();
+      loop ()
+    end
+  in
+  loop ()
+
 let worker reg tenant ?(chunk_rows = 64) ?(should_stop = fun () -> false) () =
   if chunk_rows < 1 then invalid_arg "Rotation.worker: chunk_rows";
-  Thread.create
-    (fun () ->
-      let rec loop () =
-        if should_stop () then ()  (* killed: move state stays resumable *)
-        else if step reg tenant ~chunk_rows then ()
-        else begin
-          Thread.yield ();
-          loop ()
-        end
-      in
-      loop ())
-    ()
+  Thread.create (fun () -> drive reg tenant ~chunk_rows ~should_stop) ()

@@ -39,6 +39,16 @@ val step : Registry.t -> Registry.tenant -> chunk_rows:int -> bool
     atomic cutover and returns [true]. [true] also when no rotation is in
     flight. *)
 
+val drive :
+  Registry.t ->
+  Registry.tenant ->
+  chunk_rows:int ->
+  should_stop:(unit -> bool) ->
+  unit
+(** Step until cutover on the calling thread, yielding between chunks so
+    queries interleave. [should_stop] (polled between chunks) abandons the
+    move mid-way; it stays resumable. *)
+
 val worker :
   Registry.t ->
   Registry.tenant ->
@@ -46,7 +56,6 @@ val worker :
   ?should_stop:(unit -> bool) ->
   unit ->
   Thread.t
-(** Background driver: steps until cutover, yielding between chunks so
-    queries interleave. [should_stop] (polled between chunks) abandons the
-    worker mid-move — the chaos tests' kill switch; the rotation stays
-    resumable by a new worker. [chunk_rows] defaults to 64. *)
+(** {!drive} on a background thread — [should_stop] is the chaos tests'
+    kill switch; a new worker resumes the move. [chunk_rows] defaults to
+    64. *)

@@ -49,10 +49,6 @@ let err ?query ?retry_after code message =
    about which check failed (mirrors the Auth_failed doc in wire.mli). *)
 let auth_failed () = err Wire.Auth_failed "authentication failed"
 
-let locked (tenant : Registry.tenant) f =
-  Mutex.lock tenant.Registry.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock tenant.Registry.lock) f
-
 (* Resolve the header's session token to its tenant. Every tenant-scoped
    request goes through here: the token names the tenant, so a session can
    never reach another tenant's registry entry. *)
@@ -83,91 +79,34 @@ let guarded t (tenant : Registry.tenant) f =
 
 (* ---------- query path ---------- *)
 
-let proxy_for (gen : Registry.generation) column =
-  List.assoc_opt column gen.Registry.proxies
-
-(* Serving: straight through the current generation. Rotating: fetch and
-   decrypt through BOTH generations, then evaluate the client statement
-   once over the pooled rows. Each chunk of the move is atomic under the
-   same lock, so old ∪ new holds every row exactly once and the pooled
-   evaluation is byte-identical to a never-rotated tenant (for the
-   order-insensitive statements the proxy contract covers). *)
+(* Serving: straight through the current generation's dispatcher.
+   Rotating: fetch and decrypt through BOTH generations, then evaluate the
+   client statement once over the pooled rows. Each chunk of the move is
+   atomic under the same lock, so old ∪ new holds every row exactly once
+   and the pooled evaluation is byte-identical to a never-rotated tenant
+   (for the order-insensitive statements the proxy contract covers). *)
 let run_query (tenant : Registry.tenant) ~sql ~date_column ~date_lo ~date_hi =
-  locked tenant (fun () ->
+  Registry.locked tenant (fun () ->
       match tenant.Registry.move with
       | None ->
-        (match proxy_for tenant.Registry.current date_column with
-        | None ->
-          err Wire.Unsupported ~query:sql
-            ("no proxy serves date column " ^ date_column)
-        | Some proxy ->
-          Wire.Rows (Proxy.execute proxy ~sql ~date_column ~date_lo ~date_hi))
+        Mope_net.Service.query tenant.Registry.current.Registry.service ~sql
+          ~date_column ~date_lo ~date_hi
       | Some (_, incoming) ->
-        (match
-           ( proxy_for tenant.Registry.current date_column,
-             proxy_for incoming date_column )
-         with
-        | Some p_old, Some p_new ->
-          let ast, rows_old =
-            Proxy.fetch_decrypted p_old ~sql ~date_column ~date_lo ~date_hi
-          in
-          let _, rows_new =
-            Proxy.fetch_decrypted p_new ~sql ~date_column ~date_lo ~date_hi
-          in
-          Wire.Rows (Proxy.eval_over p_old ~ast (rows_old @ rows_new))
-        | _ ->
-          err Wire.Unsupported ~query:sql
-            ("no proxy serves date column " ^ date_column)))
+        let fetch (gen : Registry.generation) k =
+          Mope_net.Service.using gen.Registry.service ~date_column (fun proxy ->
+              k proxy (Proxy.fetch_decrypted proxy ~sql ~date_column ~date_lo ~date_hi))
+        in
+        Mope_net.Service.answer ~sql ~date_column (fun () ->
+            Option.join
+              (fetch tenant.Registry.current (fun p_old (ast, rows_old) ->
+                   fetch incoming (fun _ (_, rows_new) ->
+                       Proxy.eval_over p_old ~ast (rows_old @ rows_new))))))
 
 let query t tenant ~sql ~date_column ~date_lo ~date_hi =
   guarded t tenant (fun () ->
       Metrics.inc (m_queries tenant.Registry.id);
-      match
-        Metrics.time (m_latency tenant.Registry.id) (fun () ->
-            Trace.with_span "exec" (fun () ->
-                run_query tenant ~sql ~date_column ~date_lo ~date_hi))
-      with
-      | resp -> resp
-      | exception e ->
-        err Wire.Exec_failed ~query:sql (Mope_error.describe_exn e))
-
-(* ---------- per-tenant counters ---------- *)
-
-let counters (tenant : Registry.tenant) =
-  locked tenant (fun () ->
-      let base =
-        List.fold_left
-          (fun acc (_, proxy) ->
-            let c = Proxy.counters proxy in
-            { acc with
-              Wire.client_queries =
-                acc.Wire.client_queries + c.Proxy.client_queries;
-              real_pieces = acc.Wire.real_pieces + c.Proxy.real_pieces;
-              fake_queries = acc.Wire.fake_queries + c.Proxy.fake_queries;
-              server_requests =
-                acc.Wire.server_requests + c.Proxy.server_requests;
-              rows_fetched = acc.Wire.rows_fetched + c.Proxy.rows_fetched;
-              rows_delivered =
-                acc.Wire.rows_delivered + c.Proxy.rows_delivered;
-              segment_cache_hits =
-                acc.Wire.segment_cache_hits + c.Proxy.segment_cache_hits;
-              segment_cache_misses =
-                acc.Wire.segment_cache_misses + c.Proxy.segment_cache_misses })
-          { Wire.client_queries = 0; real_pieces = 0; fake_queries = 0;
-            server_requests = 0; rows_fetched = 0; rows_delivered = 0;
-            plan_cache_hits = 0; plan_cache_misses = 0; segment_cache_hits = 0;
-            segment_cache_misses = 0 }
-          tenant.Registry.current.Registry.proxies
-      in
-      match
-        Mope_db.Database.plan_cache_stats
-          (Encrypted_db.server tenant.Registry.current.Registry.enc)
-      with
-      | None -> base
-      | Some s ->
-        { base with
-          Wire.plan_cache_hits = s.Mope_db.Plan_cache.hits;
-          plan_cache_misses = s.Mope_db.Plan_cache.misses })
+      Metrics.time (m_latency tenant.Registry.id) (fun () ->
+          run_query tenant ~sql ~date_column ~date_lo ~date_hi))
 
 (* ---------- rotation ---------- *)
 
@@ -197,15 +136,8 @@ let spawn_worker t (tenant : Registry.tenant) =
                     ~finally:(fun () -> Mutex.unlock t.workers_lock)
                     (fun () -> Hashtbl.remove t.workers id))
                 (fun () ->
-                  let rec drive () =
-                    if not (Rotation.step t.registry tenant
-                              ~chunk_rows:t.chunk_rows)
-                    then begin
-                      Thread.yield ();
-                      drive ()
-                    end
-                  in
-                  drive ()))
+                  Rotation.drive t.registry tenant ~chunk_rows:t.chunk_rows
+                    ~should_stop:(fun () -> false)))
             ()
         in
         Hashtbl.replace t.workers id thread
@@ -262,13 +194,11 @@ let handler t (header : Wire.header) = function
   | Wire.Rotate { tenant = target; status_only } ->
     with_tenant t header (fun tenant ->
         rotate t tenant ~target ~status_only)
-  | Wire.Get_counters ->
+  | (Wire.Get_stats | Wire.Fetch _ | Wire.Apply _ | Wire.Wal_since _
+    | Wire.Fence _) as request ->
+    (* Authenticated, the rest is the tenant's own dispatcher's business:
+       Stats, or Unsupported for store and cluster ops. *)
     with_tenant t header (fun tenant ->
-        guarded t tenant (fun () -> Wire.Counters (counters tenant)))
-  | Wire.Get_stats ->
-    with_tenant t header (fun tenant ->
-        guarded t tenant (fun () -> Mope_net.Service.stats ()))
-  | Wire.Fetch { sql; _ } | Wire.Apply { sql; _ } ->
-    err Wire.Unsupported ~query:sql "store operation sent to a tenant frontend"
-  | Wire.Wal_since _ | Wire.Fence _ ->
-    err Wire.Unsupported "cluster control operation sent to a tenant frontend"
+        guarded t tenant (fun () ->
+            Mope_net.Service.handler tenant.Registry.current.Registry.service
+              header request))

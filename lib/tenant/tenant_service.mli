@@ -1,12 +1,12 @@
-(** Multi-tenant request dispatcher: wire v7 sessions in front of the
-    {!Registry}.
+(** Multi-tenant front door: wire v7 sessions in front of the
+    {!Registry}, ending in each tenant's own {!Mope_net.Service}.
 
-    The single-tenant {!Mope_net.Service} trusts every connection; this
-    frontend authenticates first. [Open_session]/[Authenticate] run the
-    {!Session} handshake; every other request (except [Ping]) must carry a
-    live session token in its header and is served against the token's own
-    tenant — there is no way to name another tenant's data, so isolation
-    is by construction, not by filtering.
+    The single-tenant {!Mope_net.Service} handler trusts every connection;
+    this front door authenticates first. [Open_session]/[Authenticate] run
+    the {!Session} handshake; every other request (except [Ping]) must
+    carry a live session token in its header and is served by the token's
+    own tenant's dispatcher — there is no way to name another tenant's
+    data, so isolation is by construction, not by filtering.
 
     Per-tenant isolation on the serving path:
     - every request runs inside a ["tenant:<id>"] trace span and counts
@@ -16,8 +16,9 @@
       with [Overloaded] + [retry_after] {e before} touching the tenant
       lock, so one tenant's storm queues on its own budget instead of
       camping on the mutex every other request of that tenant needs;
-    - queries serialize on the tenant's lock (proxies are
-      single-threaded), never on another tenant's.
+    - queries serialize on the tenant's lock, never on another
+      tenant's, and then run through the tenant's dispatcher exactly as
+      on the single-tenant path.
 
     During an online rotation a query fetches through {e both}
     generations' proxies and evaluates the client statement once over the
@@ -43,8 +44,9 @@ val sessions : t -> Session.t
 val handler : t -> Mope_net.Wire.header -> Mope_net.Wire.request -> Mope_net.Wire.response
 (** Dispatch one request. [Rotate{status_only = false}] starts the
     rotation and spawns (at most one) background worker for the tenant;
-    [Rotate{status_only = true}] polls. Store and cluster ops are
-    [Unsupported]. *)
+    [Rotate{status_only = true}] polls. [Get_stats] and the store and
+    cluster ops go to the tenant's {!Mope_net.Service.handler} once the
+    session checks out (so the latter answer [Unsupported]). *)
 
 val join_workers : t -> unit
 (** Wait for every background rotation worker spawned by {!handler} to

@@ -58,9 +58,6 @@ let make_service () =
   in
   Service.create ~proxies ()
 
-let result_fingerprint r =
-  List.map (fun row -> Array.to_list (Array.map Value.to_string row)) r.Exec.rows
-
 let query_instances seed =
   let rng = Mope_stats.Rng.create (Int64.add 100L seed) in
   [ Tpch_queries.random_instance rng Tpch_queries.Q6;
@@ -123,7 +120,7 @@ let test_slow_chaos () =
                     (Printf.sprintf "seed %Ld: %s lossless under slow chaos"
                        seed
                        (Tpch_queries.template_name inst.Tpch_queries.template))
-                    (result_fingerprint plain) (result_fingerprint got))
+                    (Testbed.fingerprint plain) (Testbed.fingerprint got))
                 (query_instances seed))))
 
 (* The full storm: disconnects and bit flips. Every query must end in the
@@ -176,7 +173,7 @@ let test_hostile_chaos () =
                       Alcotest.(check (list (list string)))
                         (Printf.sprintf
                            "seed %Ld: delivered rows byte-identical" seed)
-                        (result_fingerprint plain) (result_fingerprint got)
+                        (Testbed.fingerprint plain) (Testbed.fingerprint got)
                     | exception Mope_error.Error _ -> incr structured
                     | exception e ->
                       Alcotest.fail
@@ -197,8 +194,8 @@ let test_hostile_chaos () =
               Alcotest.(check (list (list string)))
                 (Printf.sprintf "seed %Ld: server healthy after the storm"
                    seed)
-                (result_fingerprint (Testbed.run_plain tb inst))
-                (result_fingerprint (run_instance clean inst)))));
+                (Testbed.fingerprint (Testbed.run_plain tb inst))
+                (Testbed.fingerprint (run_instance clean inst)))));
   (* The registry rode out the storm: it still renders, the families are
      intact, and the request counter moved (at least the clean post-mortem
      pings landed). *)
@@ -218,7 +215,7 @@ let test_hostile_chaos () =
 
 let fuzz_corpus =
   [ Wire.encode_request Wire.Ping;
-    Wire.encode_request Wire.Get_counters;
+    Wire.encode_request ~session:"tok-1" Wire.Get_stats;
     Wire.encode_request
       (Wire.Query
          { sql = "SELECT sum(l_extendedprice * l_discount) FROM lineitem";
@@ -227,11 +224,8 @@ let fuzz_corpus =
            date_hi = Date.of_ymd 1994 12 31 });
     Wire.encode_response Wire.Pong;
     Wire.encode_response
-      (Wire.Counters
-         { Wire.client_queries = 1; real_pieces = 2; fake_queries = 3;
-           server_requests = 4; rows_fetched = 5; rows_delivered = 6;
-           plan_cache_hits = 7; plan_cache_misses = 8; segment_cache_hits = 9;
-           segment_cache_misses = 10 });
+      (Wire.Rotation
+         { state = "rotating"; generation = 1; rows_moved = 2; rows_total = 3 });
     Wire.encode_response
       (Wire.Rows
          { Exec.columns = [ "a"; "b" ];
@@ -493,6 +487,15 @@ let test_shed_hint_tracks_admitted_latency () =
           (match Wire.decode_response (Wire.read_frame c1) with
           | 0, Wire.Pong -> ()
           | _ -> Alcotest.fail "expected the parked Pong");
+          (* The writer records the latency only after the frame is out, so
+             the Pong can arrive before it is counted. *)
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while
+            (Server.stats server).Server.admitted < 1
+            && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.005
+          done;
           (* Park a second admitted request so the budget stays full... *)
           Mutex.lock gate;
           released := false;
@@ -920,12 +923,12 @@ let test_pipelined_byte_identity () =
                         let plain = Testbed.run_plain tb inst in
                         Alcotest.(check (list (list string)))
                           "pipelined = plaintext baseline"
-                          (result_fingerprint plain)
-                          (result_fingerprint served);
+                          (Testbed.fingerprint plain)
+                          (Testbed.fingerprint served);
                         Alcotest.(check (list (list string)))
                           "pipelined = lockstep"
-                          (result_fingerprint (run_instance lockstep inst))
-                          (result_fingerprint served))
+                          (Testbed.fingerprint (run_instance lockstep inst))
+                          (Testbed.fingerprint served))
                     insts outcomes)
                 by_column)))
 

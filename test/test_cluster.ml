@@ -428,9 +428,9 @@ let test_store_handler () =
        with
       | Wire.Error { code = Wire.Unsupported; _ } -> ()
       | _ -> Alcotest.fail "Query must be unsupported on a store");
-      (match h Wire.Get_counters with
+      (match h (Wire.Rotate { tenant = "acme"; status_only = true }) with
       | Wire.Error { code = Wire.Unsupported; _ } -> ()
-      | _ -> Alcotest.fail "Get_counters must be unsupported on a store");
+      | _ -> Alcotest.fail "tenant ops must be unsupported on a store");
       Store.close store)
 
 (* ------------------------------------------------------------------ *)
@@ -665,9 +665,6 @@ let test_replica_resync () =
 
 let testbed = lazy (Testbed.load ~sf:0.002 ~seed:21L ())
 
-let result_fingerprint r =
-  List.map (fun row -> Array.to_list (Array.map Value.to_string row)) r.Exec.rows
-
 let with_topology ?wrap ?(shards = 3) ?(replicas = 1) f =
   let tb = Lazy.force testbed in
   let enc = Testbed.encrypted_for tb ~rho:(Some 92) in
@@ -681,10 +678,10 @@ let with_topology ?wrap ?(shards = 3) ?(replicas = 1) f =
 let cluster_proxies tb topo =
   [ ( Tpch_queries.date_column Tpch_queries.Q6,
       Testbed.proxy tb ~template:Tpch_queries.Q6 ~rho:(Some 92) ~batch_size:25
-        ~fetch:(Topology.fetch topo) ~fetch_many:(Topology.fetch_many topo) ~seed:17L () );
+        ~fetch_many:(Topology.fetch_many topo) ~seed:17L () );
     ( Tpch_queries.date_column Tpch_queries.Q4,
       Testbed.proxy tb ~template:Tpch_queries.Q4 ~rho:(Some 92) ~batch_size:25
-        ~fetch:(Topology.fetch topo) ~fetch_many:(Topology.fetch_many topo) ~seed:19L () ) ]
+        ~fetch_many:(Topology.fetch_many topo) ~seed:19L () ) ]
 
 let single_node_proxies tb =
   [ ( Tpch_queries.date_column Tpch_queries.Q6,
@@ -711,14 +708,14 @@ let check_instance ~msg tb cluster single inst =
   let name = Tpch_queries.template_name inst.Tpch_queries.template in
   Alcotest.(check (list (list string)))
     (Printf.sprintf "%s: %s matches the plaintext baseline" msg name)
-    (result_fingerprint plain) (result_fingerprint got);
+    (Testbed.fingerprint plain) (Testbed.fingerprint got);
   match single with
   | None -> ()
   | Some proxies ->
     Alcotest.(check (list (list string)))
       (Printf.sprintf "%s: %s byte-identical to the single node" msg name)
-      (result_fingerprint (run_via proxies inst))
-      (result_fingerprint got)
+      (Testbed.fingerprint (run_via proxies inst))
+      (Testbed.fingerprint got)
 
 let test_scatter_gather_equality () =
   List.iter

@@ -16,20 +16,12 @@ let contains ~needle haystack =
 (* ------------------------------------------------------------------ *)
 (* Wire codec *)
 
-let sample_counters =
-  { Wire.client_queries = 3; real_pieces = 5; fake_queries = 7;
-    server_requests = 2; rows_fetched = 1234; rows_delivered = 99;
-    plan_cache_hits = 11; plan_cache_misses = 4; segment_cache_hits = 21;
-    segment_cache_misses = 6 }
-
 let roundtrip_request r = snd (Wire.decode_request (Wire.encode_request r))
 
 let roundtrip_response r = snd (Wire.decode_response (Wire.encode_response r))
 
 let test_request_roundtrip () =
   Alcotest.(check bool) "ping" true (roundtrip_request Wire.Ping = Wire.Ping);
-  Alcotest.(check bool) "counters" true
-    (roundtrip_request Wire.Get_counters = Wire.Get_counters);
   Alcotest.(check bool) "stats" true
     (roundtrip_request Wire.Get_stats = Wire.Get_stats);
   let q =
@@ -86,7 +78,7 @@ let test_trace_id_header () =
   in
   Alcotest.(check string) "trace id travels" "a1b2c3d4e5f60718" hdr.Wire.trace_id;
   Alcotest.(check bool) "request intact" true (req = Wire.Ping);
-  let hdr, _ = Wire.decode_request (Wire.encode_request Wire.Get_counters) in
+  let hdr, _ = Wire.decode_request (Wire.encode_request Wire.Get_stats) in
   Alcotest.(check string) "untraced by default" "" hdr.Wire.trace_id;
   (* Oversized ids are rejected on both sides of the wire. *)
   (match Wire.encode_request ~trace_id:(String.make 65 'x') Wire.Ping with
@@ -104,12 +96,12 @@ let test_session_header () =
   let hdr, req =
     Wire.decode_request
       (Wire.encode_request ~trace_id:"00aa00aa00aa00aa" ~session:"tok-42"
-         Wire.Get_counters)
+         Wire.Get_stats)
   in
   Alcotest.(check string) "session travels" "tok-42" hdr.Wire.session;
   Alcotest.(check string) "trace id alongside" "00aa00aa00aa00aa"
     hdr.Wire.trace_id;
-  Alcotest.(check bool) "request intact" true (req = Wire.Get_counters);
+  Alcotest.(check bool) "request intact" true (req = Wire.Get_stats);
   let hdr, _ = Wire.decode_request (Wire.encode_request Wire.Ping) in
   Alcotest.(check string) "unauthenticated by default" "" hdr.Wire.session;
   (match
@@ -191,9 +183,6 @@ let test_unsupported_version_is_version_independent () =
 
 let test_response_roundtrip () =
   Alcotest.(check bool) "pong" true (roundtrip_response Wire.Pong = Wire.Pong);
-  Alcotest.(check bool) "counters" true
-    (roundtrip_response (Wire.Counters sample_counters)
-    = Wire.Counters sample_counters);
   (* Rows exercising every value constructor, including the empty row. *)
   let rows =
     Wire.Rows
@@ -333,9 +322,6 @@ let test_decode_malformed () =
 
 let testbed = lazy (Testbed.load ~sf:0.002 ~seed:21L ())
 
-let result_fingerprint r =
-  List.map (fun row -> Array.to_list (Array.map Value.to_string row)) r.Exec.rows
-
 (* A service with one proxy per date column, as `mope serve` builds it. *)
 let make_service ?batch_size () =
   let tb = Lazy.force testbed in
@@ -353,9 +339,22 @@ let with_server ?config handler f =
   let server = Server.start ?config ~handler () in
   Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
 
+(* The proxy and cache counters travel as metrics in a Stats scrape.
+   The registry is process-wide, so a test reading them starts it from
+   zero. *)
+let with_fresh_metrics f =
+  Mope_obs.Metrics.reset_all ();
+  Mope_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Mope_obs.Metrics.set_enabled false) f
+
+let scrape client =
+  let json = (Client.stats client).Wire.metrics_json in
+  fun name -> Option.value ~default:0 (Mope_obs.Metrics.json_counter json name)
+
 let test_loopback_tpch () =
   let tb = Lazy.force testbed in
   let service = make_service ~batch_size:25 () in
+  with_fresh_metrics @@ fun () ->
   with_server (Service.handler service) (fun server ->
       Client.with_client ~port:(Server.port server) (fun client ->
           Client.ping client;
@@ -383,17 +382,18 @@ let test_loopback_tpch () =
               Alcotest.(check (list (list string)))
                 (Tpch_queries.template_name inst.Tpch_queries.template
                 ^ " over the wire")
-                (result_fingerprint plain) (result_fingerprint got))
+                (Testbed.fingerprint plain) (Testbed.fingerprint got))
             instances;
-          (* Counters travelled the wire and match the in-process view. *)
-          let c = Client.counters client in
+          (* The proxy counters travelled the wire as metrics. *)
+          let c = scrape client in
           Alcotest.(check int) "client queries" (List.length instances)
-            c.Wire.client_queries;
-          Alcotest.(check bool) "rows delivered" true (c.Wire.rows_delivered > 0);
-          Alcotest.(check bool) "counters agree" true
-            (c = Service.counters service));
+            (c "mope_proxy_queries_total");
+          Alcotest.(check bool) "rows delivered" true
+            (c "mope_proxy_rows_delivered_total" > 0);
+          Alcotest.(check bool) "pieces counted" true
+            (c "mope_proxy_real_pieces_total" >= List.length instances));
       let s = Server.stats server in
-      (* ping + 4 queries + 1 counters fetch *)
+      (* ping + 4 queries + 1 stats scrape *)
       Alcotest.(check int) "requests" 6 s.Server.requests;
       Alcotest.(check int) "no errors" 0 s.Server.errors;
       Alcotest.(check int) "one connection" 1 s.Server.connections_accepted;
@@ -413,6 +413,7 @@ let test_loopback_cache_counters () =
           ~batch_size:25 ~seed:31L () ) ]
   in
   let service = Service.create ~proxies () in
+  with_fresh_metrics @@ fun () ->
   with_server (Service.handler service) (fun server ->
       Client.with_client ~port:(Server.port server) (fun client ->
           let rng = Mope_stats.Rng.create 29L in
@@ -425,27 +426,28 @@ let test_loopback_cache_counters () =
               ~date_hi:inst.Tpch_queries.date_hi ()
           in
           let r1 = run () in
-          let c1 = Client.counters client in
+          let c1 = scrape client in
           let r2 = run () in
-          let c2 = Client.counters client in
+          let c2 = scrape client in
           Alcotest.(check (list (list string))) "cold run matches baseline"
-            (result_fingerprint plain) (result_fingerprint r1);
+            (Testbed.fingerprint plain) (Testbed.fingerprint r1);
           Alcotest.(check (list (list string))) "cached run byte-identical"
-            (result_fingerprint plain) (result_fingerprint r2);
+            (Testbed.fingerprint plain) (Testbed.fingerprint r2);
           (* First run: only misses. Second run: every start and statement
              repeats, so both layers hit. *)
-          Alcotest.(check bool) "cold segment misses" true
-            (c1.Wire.segment_cache_misses > 0);
-          Alcotest.(check int) "no cold segment hits"
-            0 c1.Wire.segment_cache_hits;
+          let seg_hits = "mope_segment_cache_hits_total"
+          and seg_misses = "mope_segment_cache_misses_total"
+          and plan_hits = "mope_plan_cache_hits_total" in
+          Alcotest.(check bool) "cold segment misses" true (c1 seg_misses > 0);
+          Alcotest.(check int) "no cold segment hits" 0 (c1 seg_hits);
           Alcotest.(check bool) "segment cache hits rose" true
-            (c2.Wire.segment_cache_hits > c1.Wire.segment_cache_hits);
+            (c2 seg_hits > c1 seg_hits);
           Alcotest.(check bool) "plan cache hits rose" true
-            (c2.Wire.plan_cache_hits > c1.Wire.plan_cache_hits);
+            (c2 plan_hits > c1 plan_hits);
           Alcotest.(check bool) "plan cache misses counted" true
-            (c2.Wire.plan_cache_misses >= 1);
+            (c2 "mope_plan_cache_misses_total" >= 1);
           Alcotest.(check int) "no new segment walks on repeat"
-            c1.Wire.segment_cache_misses c2.Wire.segment_cache_misses))
+            (c1 seg_misses) (c2 seg_misses)))
 
 let test_trace_propagation () =
   (* End-to-end observability: a client-minted trace id rides the v3 header,
@@ -478,8 +480,8 @@ let test_trace_propagation () =
               (* Instrumentation must not disturb the result. *)
               let plain = Testbed.run_plain tb inst in
               Alcotest.(check (list (list string)))
-                "result intact under tracing" (result_fingerprint plain)
-                (result_fingerprint got);
+                "result intact under tracing" (Testbed.fingerprint plain)
+                (Testbed.fingerprint got);
               let s = Client.stats client in
               let dump =
                 match
@@ -720,6 +722,20 @@ let test_use_after_close () =
       | () -> Alcotest.fail "expected an error on a closed client"
       | exception Mope_error.Error _ -> ())
 
+let test_transport_closes_once () =
+  (* A closed descriptor number is free for the next open; neither closing
+     the transport again nor shutting it down may reach whatever took it. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let io = Transport.of_fd a in
+  io.Transport.close ();
+  let c, d = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  io.Transport.shutdown ();
+  io.Transport.close ();
+  ignore (Unix.write_substring d "x" 0 1);
+  Alcotest.(check int) "the newer descriptor is still open and readable" 1
+    (Unix.read c (Bytes.create 1) 0 1);
+  List.iter Unix.close [ b; c; d ]
+
 let test_concurrent_clients () =
   let service = make_service () in
   let n_threads = 4 and pings = 5 in
@@ -732,7 +748,7 @@ let test_concurrent_clients () =
               for _ = 1 to pings do
                 Client.ping client
               done;
-              ignore (Client.counters client))
+              ignore (Client.stats client))
         with _ -> Atomic.incr failures
       in
       let threads = List.init n_threads (fun _ -> Thread.create worker ()) in
@@ -812,5 +828,7 @@ let () =
           Alcotest.test_case "use after close" `Quick test_use_after_close ] );
       ( "server",
         [ Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+          Alcotest.test_case "transport closes its descriptor once" `Quick
+            test_transport_closes_once;
           Alcotest.test_case "shutdown is graceful and idempotent" `Quick
             test_shutdown_idempotent_and_rejects_late_clients ] ) ]

@@ -255,7 +255,13 @@ let test_prometheus_exposition () =
           Alcotest.(check bool) ("json has " ^ needle) true
             (contains ~needle json))
         [ "\"counters\""; "\"gauges\""; "\"histograms\"";
-          "\"test_obs_expo_total\""; "\"p99\"" ])
+          "\"test_obs_expo_total\""; "\"p99\"" ];
+      (* A remote scrape reads a counter back out of the JSON. *)
+      Alcotest.(check (option int)) "counter read back from json"
+        (Some (Metrics.counter_value c))
+        (Metrics.json_counter json "test_obs_expo_total");
+      Alcotest.(check (option int)) "absent counter" None
+        (Metrics.json_counter json "test_obs_no_such_total"))
 
 (* ------------------------------------------------------------------ *)
 (* Tracing *)

@@ -152,9 +152,6 @@ let test_references_column () =
 (* ------------------------------------------------------------------ *)
 (* Proxy: end-to-end equivalence *)
 
-let result_fingerprint r =
-  List.map (fun row -> Array.to_list (Array.map Value.to_string row)) r.Exec.rows
-
 let check_equivalence ~rho ~batch_size templates =
   let tb = Lazy.force testbed in
   let rng = Mope_stats.Rng.create 31L in
@@ -167,7 +164,7 @@ let check_equivalence ~rho ~batch_size templates =
         let encd = Testbed.run_encrypted proxy inst in
         Alcotest.(check (list (list string)))
           (Tpch_queries.template_name template ^ " result")
-          (result_fingerprint plain) (result_fingerprint encd)
+          (Testbed.fingerprint plain) (Testbed.fingerprint encd)
       done)
     templates
 
@@ -225,7 +222,7 @@ let test_batch_larger_than_pieces () =
   let plain = Testbed.run_plain tb inst in
   let encd = Testbed.run_encrypted proxy inst in
   Alcotest.(check (list (list string))) "oversized batch still exact"
-    (result_fingerprint plain) (result_fingerprint encd);
+    (Testbed.fingerprint plain) (Testbed.fingerprint encd);
   let c = Proxy.counters proxy in
   Alcotest.(check int) "single batched statement" 1 c.Proxy.server_requests;
   Alcotest.(check bool) "covered pieces and fakes" true
@@ -259,7 +256,7 @@ let test_batch_size_invariant_counters () =
   List.iter2
     (fun a b ->
       Alcotest.(check (list (list string))) "identical rows"
-        (result_fingerprint a) (result_fingerprint b))
+        (Testbed.fingerprint a) (Testbed.fingerprint b))
     r1 r8
 
 let test_segment_cache_determinism () =
@@ -281,9 +278,9 @@ let test_segment_cache_determinism () =
   let cached, c1, c2 = run true in
   let uncached, u1, u2 = run false in
   Alcotest.(check (list (list string))) "first run identical"
-    (result_fingerprint u1) (result_fingerprint c1);
+    (Testbed.fingerprint u1) (Testbed.fingerprint c1);
   Alcotest.(check (list (list string))) "repeat identical"
-    (result_fingerprint u2) (result_fingerprint c2);
+    (Testbed.fingerprint u2) (Testbed.fingerprint c2);
   let cc = Proxy.counters cached and uc = Proxy.counters uncached in
   Alcotest.(check bool) "repeated starts hit" true (cc.Proxy.segment_cache_hits > 0);
   Alcotest.(check bool) "cold starts missed" true (cc.Proxy.segment_cache_misses > 0);
@@ -399,7 +396,7 @@ let test_rotation_queries_still_work () =
       ~date_lo:inst.Tpch_queries.date_lo ~date_hi:inst.Tpch_queries.date_hi
   in
   Alcotest.(check (list (list string))) "rotated proxy agrees"
-    (result_fingerprint plain) (result_fingerprint encd)
+    (Testbed.fingerprint plain) (Testbed.fingerprint encd)
 
 let test_rotation_same_key_is_identity () =
   (* Regression: [offsets_differ] compares the secret offsets, not the
@@ -583,7 +580,7 @@ let test_streaming_move_union_always_complete () =
   in
   (* Before any chunk, mid-move (several stops), and after completion. *)
   Alcotest.(check (list (list string))) "union before the move"
-    (result_fingerprint plain) (result_fingerprint (pooled ()));
+    (Testbed.fingerprint plain) (Testbed.fingerprint (pooled ()));
   let continue = ref true in
   let stops = ref 0 in
   while !continue do
@@ -593,13 +590,13 @@ let test_streaming_move_union_always_complete () =
       incr stops;
       Alcotest.(check (list (list string)))
         (Printf.sprintf "union after chunk %d" !stops)
-        (result_fingerprint plain)
-        (result_fingerprint (pooled ()))
+        (Testbed.fingerprint plain)
+        (Testbed.fingerprint (pooled ()))
     end
   done;
   Alcotest.(check bool) "saw mid-move states" true (!stops > 1);
   Alcotest.(check (list (list string))) "union after completion"
-    (result_fingerprint plain) (result_fingerprint (pooled ()))
+    (Testbed.fingerprint plain) (Testbed.fingerprint (pooled ()))
 
 
 (* ------------------------------------------------------------------ *)
@@ -658,8 +655,8 @@ let synthetic_equivalence ~adaptive () =
     in
     let expected = Database.query plain sql in
     let got = Proxy.execute proxy ~sql ~date_column:"d" ~date_lo:lo ~date_hi:hi in
-    Alcotest.(check (list (list string))) sql (result_fingerprint expected)
-      (result_fingerprint got)
+    Alcotest.(check (list (list string))) sql (Testbed.fingerprint expected)
+      (Testbed.fingerprint got)
   done
 
 let test_synthetic_static () = synthetic_equivalence ~adaptive:false ()
@@ -702,8 +699,8 @@ let test_synthetic_adaptive_periodic () =
     in
     let expected = Database.query plain sql in
     let got = Proxy.execute proxy ~sql ~date_column:"d" ~date_lo:lo ~date_hi:hi in
-    Alcotest.(check (list (list string))) sql (result_fingerprint expected)
-      (result_fingerprint got)
+    Alcotest.(check (list (list string))) sql (Testbed.fingerprint expected)
+      (Testbed.fingerprint got)
   done
 
 let test_adaptive_proxy_state () =
@@ -721,7 +718,7 @@ let test_adaptive_proxy_state () =
   let plain = Testbed.run_plain tb inst in
   let got = Testbed.run_encrypted proxy inst in
   Alcotest.(check (list (list string))) "adaptive proxy agrees"
-    (result_fingerprint plain) (result_fingerprint got);
+    (Testbed.fingerprint plain) (Testbed.fingerprint got);
   match Proxy.adaptive_state proxy with
   | Some a ->
     Alcotest.(check bool) "buffer grew" true (Mope_core.Adaptive.buffer_size a > 0);
