@@ -50,13 +50,17 @@ type t = {
   shards : shard_legs array;
   opts : client_opts;
   seed : int64;
-  subquery_cache : (string, Sql_ast.expr list) Hashtbl.t option;
-  cache_lock : Mutex.t;
+  (* Resolved IN (SELECT ...) value lists by inner SQL. Every [apply]
+     clears it and bumps [memo_gen]; a resolution computed across a bump
+     is not stored. *)
+  memo : (string, Sql_ast.expr list) Hashtbl.t;
+  mutable memo_gen : int;
+  memo_lock : Mutex.t;
 }
 
 let create ~map ~shards ?(timeout = 10.0) ?(request_retries = 1)
     ?(breaker_threshold = 3) ?(breaker_cooldown = 1.0) ?(seed = 0x5eedL)
-    ?(wrap = Fun.id) ?(subquery_cache = true) () =
+    ?(wrap = Fun.id) () =
   let n = Shard_map.shards map in
   if List.length shards <> n then
     invalid_arg "Coordinator.create: one shard_conf per shard required";
@@ -91,8 +95,9 @@ let create ~map ~shards ?(timeout = 10.0) ?(request_retries = 1)
     shards = Array.of_list shard_legs;
     opts = { timeout; request_retries; breaker_threshold; breaker_cooldown; wrap };
     seed;
-    subquery_cache = (if subquery_cache then Some (Hashtbl.create 8) else None);
-    cache_lock = Mutex.create () }
+    memo = Hashtbl.create 8;
+    memo_gen = 0;
+    memo_lock = Mutex.create () }
 
 let locked lock f =
   Mutex.lock lock;
@@ -201,15 +206,20 @@ let resolve_subquery t inner =
     in
     List.map (fun v -> Sql_ast.Lit v) values
   in
-  match t.subquery_cache with
-  | None -> compute ()
-  | Some cache -> (
-    match locked t.cache_lock (fun () -> Hashtbl.find_opt cache sql) with
-    | Some vs -> vs
-    | None ->
-      let vs = compute () in
-      locked t.cache_lock (fun () -> Hashtbl.replace cache sql vs);
-      vs)
+  match
+    locked t.memo_lock (fun () -> (Hashtbl.find_opt t.memo sql, t.memo_gen))
+  with
+  | Some vs, _ -> vs
+  | None, gen ->
+    let vs = compute () in
+    locked t.memo_lock (fun () ->
+        if Int.equal gen t.memo_gen then Hashtbl.replace t.memo sql vs);
+    vs
+
+let forget_resolutions t =
+  locked t.memo_lock (fun () ->
+      Hashtbl.reset t.memo;
+      t.memo_gen <- t.memo_gen + 1)
 
 let rec resolve_expr t expr =
   let r = resolve_expr t in
@@ -222,8 +232,12 @@ let rec resolve_expr t expr =
   | Sql_ast.Not e -> Sql_ast.Not (r e)
   | Sql_ast.Between (e, lo, hi) -> Sql_ast.Between (r e, r lo, r hi)
   | Sql_ast.In_list (e, es) -> Sql_ast.In_list (r e, List.map r es)
-  | Sql_ast.In_select (e, inner) ->
-    Sql_ast.In_list (r e, resolve_subquery t inner)
+  | Sql_ast.In_select (e, inner) -> (
+    (* An empty IN-list does not parse; x IN (empty set) is false for every
+       x, NULL included. *)
+    match resolve_subquery t inner with
+    | [] -> Sql_ast.Lit (Value.Bool false)
+    | vs -> Sql_ast.In_list (r e, vs))
   | Sql_ast.Like (e, pat) -> Sql_ast.Like (r e, pat)
   | Sql_ast.Is_null e -> Sql_ast.Is_null (r e)
   | Sql_ast.Case (arms, else_) ->
@@ -231,25 +245,9 @@ let rec resolve_expr t expr =
       (List.map (fun (c, v) -> (r c, r v)) arms, Option.map r else_)
   | Sql_ast.Agg (kind, Some e) -> Sql_ast.Agg (kind, Some (r e))
 
-let rec has_subquery = function
-  | Sql_ast.In_select _ -> true
-  | Sql_ast.Lit _ | Sql_ast.Col _ | Sql_ast.Agg (_, None) -> false
-  | Sql_ast.Binop (_, a, b) | Sql_ast.Cmp (_, a, b)
-  | Sql_ast.And (a, b) | Sql_ast.Or (a, b) ->
-    has_subquery a || has_subquery b
-  | Sql_ast.Not e | Sql_ast.Like (e, _) | Sql_ast.Is_null e
-  | Sql_ast.Agg (_, Some e) ->
-    has_subquery e
-  | Sql_ast.Between (e, lo, hi) ->
-    has_subquery e || has_subquery lo || has_subquery hi
-  | Sql_ast.In_list (e, es) -> has_subquery e || List.exists has_subquery es
-  | Sql_ast.Case (arms, else_) ->
-    List.exists (fun (c, v) -> has_subquery c || has_subquery v) arms
-    || (match else_ with Some e -> has_subquery e | None -> false)
-
 let resolve_template t (template : Sql_ast.select) =
   match template.Sql_ast.where with
-  | Some w when has_subquery w ->
+  | Some w when Sql_ast.has_subquery w ->
     { template with Sql_ast.where = Some (resolve_expr t w) }
   | _ -> template
 
@@ -352,6 +350,9 @@ let apply ?(request_id = "") ?(retries = 2) ?(retry_backoff = 0.05) t ~shard
      a request id makes that retry safe (the store dedups it), so without
      one a single attempt is made and an ambiguous failure surfaces. *)
   let attempts = if request_id = "" then 1 else retries + 1 in
+  (* Any write may change a memoized IN (SELECT ...) answer, and so may
+     one that raised: an ambiguous failure may still have applied. *)
+  Fun.protect ~finally:(fun () -> forget_resolutions t) @@ fun () ->
   let rec go attempt last_err =
     if attempt >= attempts then
       match last_err with

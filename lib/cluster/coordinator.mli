@@ -11,7 +11,9 @@
     partitioned table, so the coordinator {e pre-resolves} them: the inner
     select is broadcast to every shard, the per-shard value sets are
     unioned (each partitioned row lives on exactly one shard), and the
-    conjunct is rewritten to a literal [IN]-list before fan-out.
+    conjunct is rewritten to a literal [IN]-list ([FALSE] for an empty
+    set) before fan-out. Resolutions are memoized by inner select until
+    the next {!apply}.
 
     Failover: each shard lists its primary first, then its replicas. A
     leg whose request fails (dead primary, tripped breaker, fencing
@@ -45,18 +47,15 @@ val create :
   ?breaker_cooldown:float ->
   ?seed:int64 ->
   ?wrap:(Mope_net.Transport.t -> Mope_net.Transport.t) ->
-  ?subquery_cache:bool ->
   unit ->
   t
 (** [shards] must have exactly [Shard_map.shards map] entries. Connections
     are dialed lazily, per leg, and redialed transparently. [wrap]
     interposes on every dialed connection (e.g. {!Mope_net.Chaos.wrap});
-    [seed] makes the per-leg client jitter deterministic.
-    [subquery_cache] (default [true]) memoizes resolved [IN (SELECT …)]
-    value lists — sound while serving a read-only workload; disable it if
-    the stores are mutated between queries. The client-tuning parameters
-    are forwarded to {!Mope_net.Client.connect} (with failover-friendly
-    defaults: 1 request retry, breaker threshold 3). *)
+    [seed] makes the per-leg client jitter deterministic. The
+    client-tuning parameters are forwarded to {!Mope_net.Client.connect}
+    (with failover-friendly defaults: 1 request retry, breaker threshold
+    3). *)
 
 val fetch_many : t -> Mope_system.Proxy.fetch_many
 (** The scatter-gather fetch seam — pass as [?fetch_many] to
@@ -87,7 +86,9 @@ val apply :
     re-reading the current primary and epoch — which is what carries a
     write across a mid-flight promotion: the retry lands on the promoted
     replica, exactly once. While the shard is read-only, raises
-    immediately with a "retry after" hint in the message. *)
+    immediately with a "retry after" hint in the message. Every call,
+    including one that raises, drops the memoized [IN (SELECT …)]
+    resolutions. *)
 
 (** {1 Supervisor control surface}
 

@@ -36,7 +36,7 @@ let start_node ?wrap store =
   { store; server; node_port = Server.port server; killed = false }
 
 let launch ~enc ~shards ~replicas ~wal_dir ?(wal_sync = false) ?wrap
-    ?(seed = 0xC10C5EEDL) ?subquery_cache () =
+    ?(seed = 0xC10C5EEDL) () =
   if shards < 1 then invalid_arg "Topology.launch: shards < 1";
   if replicas < 0 then invalid_arg "Topology.launch: replicas < 0";
   let topo_map =
@@ -99,7 +99,7 @@ let launch ~enc ~shards ~replicas ~wal_dir ?(wal_sync = false) ?wrap
                           port = r.rep_node.node_port })
                       s.replicas })
               shard_nodes))
-      ~seed:(Int64.add seed 0x7777L) ?wrap ?subquery_cache ()
+      ~seed:(Int64.add seed 0x7777L) ?wrap ()
   in
   { topo_map; shard_nodes; coord; topo_wrap = wrap; down = false }
 

@@ -18,7 +18,6 @@ val launch :
   ?wal_sync:bool ->
   ?wrap:(Mope_net.Transport.t -> Mope_net.Transport.t) ->
   ?seed:int64 ->
-  ?subquery_cache:bool ->
   unit ->
   t
 (** Partition [enc]'s ciphertext space over [shards] equal slices, load

@@ -87,6 +87,18 @@ let rec has_aggregate = function
     List.exists (fun (c, v) -> has_aggregate c || has_aggregate v) arms
     || (match else_ with Some e -> has_aggregate e | None -> false)
 
+let rec has_subquery = function
+  | In_select _ -> true
+  | Lit _ | Col _ | Agg (_, None) -> false
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+    has_subquery a || has_subquery b
+  | Not e | Like (e, _) | Is_null e | Agg (_, Some e) -> has_subquery e
+  | Between (e, lo, hi) -> has_subquery e || has_subquery lo || has_subquery hi
+  | In_list (e, es) -> has_subquery e || List.exists has_subquery es
+  | Case (arms, else_) ->
+    List.exists (fun (c, v) -> has_subquery c || has_subquery v) arms
+    || (match else_ with Some e -> has_subquery e | None -> false)
+
 let binop_symbol = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
 let cmp_symbol = function

@@ -62,6 +62,9 @@ val and_of_list : expr list -> expr
 val has_aggregate : expr -> bool
 (** Whether an [Agg] node occurs (outside nested selects). *)
 
+val has_subquery : expr -> bool
+(** Whether an [IN (SELECT …)] occurs. *)
+
 val expr_to_string : expr -> string
 (** Render back to parseable SQL (used for logging and parser round-trip
     tests). *)

@@ -589,15 +589,13 @@ let query t ?trace_id ~sql ~date_column ~date_lo ~date_hi () =
   | Wire.Rows result -> result
   | _ -> Mope_error.raise_error ~query:sql "Client.query: unexpected response"
 
-let query_batch t ?trace_id ?depth ~date_column ~queries () =
-  let requests =
-    List.map
-      (fun (sql, date_lo, date_hi) ->
-        Wire.Query { sql; date_column; date_lo; date_hi })
-      queries
-  in
+(* [pipeline] over (sql, request) pairs, one outcome per pair: a server
+   error or a response other than [Rows] is that pair's [Error], with its
+   SQL attached as the query context. [caller] names the public entry
+   point in the "unexpected response" message. *)
+let rows_batch t ?trace_id ?depth caller items =
   List.map2
-    (fun (sql, _, _) outcome ->
+    (fun (sql, _) outcome ->
       match outcome with
       | Error err ->
         Error
@@ -608,12 +606,17 @@ let query_batch t ?trace_id ?depth ~date_column ~queries () =
         match check_error ~query:sql resp with
         | Wire.Rows result -> Ok result
         | _ ->
-          Error
-            (Mope_error.create ~query:sql
-               "Client.query_batch: unexpected response")
+          Error (Mope_error.create ~query:sql (caller ^ ": unexpected response"))
         | exception Mope_error.Error err -> Error err))
-    queries
-    (pipeline t ?trace_id ?depth requests)
+    items
+    (pipeline t ?trace_id ?depth (List.map snd items))
+
+let query_batch t ?trace_id ?depth ~date_column ~queries () =
+  rows_batch t ?trace_id ?depth "Client.query_batch"
+    (List.map
+       (fun (sql, date_lo, date_hi) ->
+         (sql, Wire.Query { sql; date_column; date_lo; date_hi }))
+       queries)
 
 let fetch t ?trace_id ?(epoch = 0) ~sql () =
   match
@@ -623,25 +626,8 @@ let fetch t ?trace_id ?(epoch = 0) ~sql () =
   | _ -> Mope_error.raise_error ~query:sql "Client.fetch: unexpected response"
 
 let fetch_batch t ?trace_id ?depth ?(epoch = 0) ~sqls () =
-  let requests = List.map (fun sql -> Wire.Fetch { sql; epoch }) sqls in
-  List.map2
-    (fun sql outcome ->
-      match outcome with
-      | Error err ->
-        Error
-          (match err.Mope_error.query with
-          | Some _ -> err
-          | None -> { err with Mope_error.query = Some sql })
-      | Ok resp -> (
-        match check_error ~query:sql resp with
-        | Wire.Rows result -> Ok result
-        | _ ->
-          Error
-            (Mope_error.create ~query:sql
-               "Client.fetch_batch: unexpected response")
-        | exception Mope_error.Error err -> Error err))
-    sqls
-    (pipeline t ?trace_id ?depth requests)
+  rows_batch t ?trace_id ?depth "Client.fetch_batch"
+    (List.map (fun sql -> (sql, Wire.Fetch { sql; epoch })) sqls)
 
 let apply t ?trace_id ?(epoch = 0) ?(request_id = "") ~sql () =
   match

@@ -213,29 +213,12 @@ let decrypt_combined enc ?keep from row =
 (* Conjuncts containing IN (SELECT …) were fully enforced by the server over
    encrypted data (DET equality); the referenced tables are not available to
    the proxy's local re-evaluation, so drop them there. *)
-let rec contains_subquery = function
-  | Sql_ast.In_select _ -> true
-  | Sql_ast.Lit _ | Sql_ast.Col _ | Sql_ast.Agg (_, None) -> false
-  | Sql_ast.Binop (_, a, b) | Sql_ast.Cmp (_, a, b)
-  | Sql_ast.And (a, b) | Sql_ast.Or (a, b) ->
-    contains_subquery a || contains_subquery b
-  | Sql_ast.Not e | Sql_ast.Like (e, _) | Sql_ast.Is_null e
-  | Sql_ast.Agg (_, Some e) ->
-    contains_subquery e
-  | Sql_ast.Between (e, lo, hi) ->
-    contains_subquery e || contains_subquery lo || contains_subquery hi
-  | Sql_ast.In_list (e, es) ->
-    contains_subquery e || List.exists contains_subquery es
-  | Sql_ast.Case (arms, else_) ->
-    List.exists (fun (c, v) -> contains_subquery c || contains_subquery v) arms
-    || (match else_ with Some e -> contains_subquery e | None -> false)
-
 let local_statement ast =
   let where =
     match ast.Sql_ast.where with
     | None -> None
     | Some w -> begin
-      match List.filter (fun c -> not (contains_subquery c)) (Sql_ast.conjuncts w) with
+      match List.filter (fun c -> not (Sql_ast.has_subquery c)) (Sql_ast.conjuncts w) with
       | [] -> None
       | kept -> Some (Sql_ast.and_of_list kept)
     end

@@ -17,16 +17,15 @@
 #                                             duplicated, or phantom writes)
 #   mope cluster --shards 1 --replicas 0      single-node degenerate case:
 #                                             same checks, no fan-out
-#   bench/cluster.exe --quick                 K in {1,2,4} sweep writes a
-#                                             well-shaped BENCH_cluster.json
 #   dune build @lint                          static analysis stays green
+#
+# The K in {1,2,4} cluster benchmark runs in `dune build @bench/macro-smoke`.
 #
 # Usage: scripts/cluster_smoke.sh
 set -euo pipefail
 
 WORKDIR="$(mktemp -d)"
 LOG="$WORKDIR/cluster.log"
-OUT="$WORKDIR/BENCH_cluster.json"
 
 cleanup() { rm -rf "$WORKDIR"; }
 trap cleanup EXIT
@@ -38,7 +37,7 @@ fail() {
   exit 1
 }
 
-dune build bin/mope_cli.exe bench/cluster.exe
+dune build bin/mope_cli.exe
 
 echo "running mope cluster --shards 3 --replicas 1 --kill-shard 1"
 dune exec --no-build bin/mope_cli.exe -- cluster --shards 3 --replicas 1 \
@@ -77,17 +76,7 @@ dune exec --no-build bin/mope_cli.exe -- cluster --shards 1 --replicas 0 \
 MATCHES=$(grep -c "ok (matches plaintext)" "$LOG" || true)
 [[ "$MATCHES" -eq 3 ]] || fail "expected 3 matching queries, got $MATCHES"
 
-echo "running bench/cluster.exe --quick"
-dune exec --no-build bench/cluster.exe -- --quick --out "$OUT" >"$LOG" 2>&1 \
-  || fail "cluster benchmark failed (it gates on baseline equality)"
-[[ -s "$OUT" ]] || fail "BENCH_cluster.json was never written"
-for key in \
-  '"bench": "cluster"' '"scale": "quick"' '"configs"' '"K=1"' '"K=2"' \
-  '"K=4"' '"rows_per_s"' '"latency_ms"' '"p95"' '"speedup_vs_single"'; do
-  grep -qF "$key" "$OUT" || fail "bench output missing key $key"
-done
-
 echo "running dune build @lint"
 dune build @lint >"$LOG" 2>&1 || fail "mope-lint found problems"
 
-echo "cluster smoke OK: 3x1 failover served, supervised promotion exactly-once under two chaos seeds, results byte-identical, bench shaped, lint green"
+echo "cluster smoke OK: 3x1 failover served, supervised promotion exactly-once under two chaos seeds, results byte-identical, lint green"

@@ -790,6 +790,39 @@ let test_chaos_kill_primary_mid_storm () =
           | [] -> assert false))
     [ 3L; 11L ]
 
+(* A write must reach a later IN (SELECT ...) resolution: the coordinator
+   memoizes resolved value lists, and an emptied inner table resolves to
+   no values at all. Own testbed: the plaintext twin takes the same
+   DELETE. *)
+let test_subquery_after_write () =
+  let tb = Testbed.load ~sf:0.001 ~seed:21L () in
+  let enc = Testbed.encrypted_for tb ~rho:(Some 92) in
+  with_tmp_dir (fun dir ->
+      let topo = Topology.launch ~enc ~shards:2 ~replicas:0 ~wal_dir:dir () in
+      Fun.protect ~finally:(fun () -> Topology.shutdown topo) (fun () ->
+          let proxy =
+            Testbed.proxy tb ~template:Tpch_queries.Q4 ~rho:(Some 92)
+              ~batch_size:25 ~fetch_many:(Topology.fetch_many topo) ~seed:19L ()
+          in
+          let inst =
+            Tpch_queries.random_instance (Mope_stats.Rng.create 31L) Tpch_queries.Q4
+          in
+          let check msg =
+            Alcotest.(check (list (list string)))
+              msg
+              (Testbed.fingerprint (Testbed.run_plain tb inst))
+              (Testbed.fingerprint (Testbed.run_encrypted proxy inst))
+          in
+          Alcotest.(check bool) "the instance has rows to lose" true
+            ((Testbed.run_plain tb inst).Exec.rows <> []);
+          check "before the write";
+          let delete = "DELETE FROM lineitem" in
+          for shard = 0 to Topology.shards topo - 1 do
+            ignore (Coordinator.apply (Topology.coordinator topo) ~shard ~sql:delete)
+          done;
+          ignore (Database.execute (Testbed.plain tb) delete);
+          check "after emptying the inner table"))
+
 (* ------------------------------------------------------------------ *)
 (* Failover: supervised promotion, fencing, exactly-once writes *)
 
@@ -1083,7 +1116,9 @@ let () =
           Alcotest.test_case "failover routes reads to replicas" `Slow
             test_failover_to_replica;
           Alcotest.test_case "kill primary mid-storm under seeded chaos" `Slow
-            test_chaos_kill_primary_mid_storm ] );
+            test_chaos_kill_primary_mid_storm;
+          Alcotest.test_case "IN (SELECT) sees writes, empty set" `Slow
+            test_subquery_after_write ] );
       ( "failover",
         [ Alcotest.test_case "supervised promotion under a new epoch" `Slow
             test_supervised_promotion;
