@@ -525,6 +525,113 @@ let test_snapshot_survives_sigkill () =
         Alcotest.(check (list (list string))) "snapshot loadable and right"
           (dump db) (dump loaded))
 
+(* ------------------------------------------------------------------ *)
+(* Byte formats, pinned as literal bytes rather than round trips: wire
+   payloads and frames, snapshots, WAL files and shard maps must stay
+   byte-identical whatever happens to the code that writes them. *)
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let check_bytes what expected actual =
+  Alcotest.(check string) what expected (hex actual)
+
+let test_format_query_request () =
+  check_bytes "query request"
+    "0802000000000000000274720000000000000002736500000000000000070000000000\
+     00000853454c45435420310000000000000001640000000000000009ffffffffffffff\
+     fe"
+    (Mope_net.Wire.encode_request ~trace_id:"tr" ~session:"se" ~req_id:7
+       (Mope_net.Wire.Query
+          { sql = "SELECT 1"; date_column = "d"; date_lo = 9; date_hi = -2 }))
+
+let test_format_rows_response () =
+  let rows =
+    { Exec.columns = [ "a"; "b" ];
+      rows =
+        [ [| Value.Null; Value.Bool true; Value.Bool false; Value.Int (-5);
+             Value.Float 1.5; Value.Str "xy"; Value.Date 10 |];
+          [| Value.Int 300 |] ] }
+  in
+  check_bytes "rows response"
+    "0882000000000000000300000000000000020000000000000001610000000000000001\
+     6200000000000000020000000000000007000101010002fffffffffffffffb033ff800\
+     0000000000040000000000000002787905000000000000000a00000000000000010200\
+     0000000000012c"
+    (Mope_net.Wire.encode_response ~req_id:3 (Mope_net.Wire.Rows rows))
+
+let test_format_error_response () =
+  check_bytes "error response"
+    "08bf00000000000000040400000000000000046275737901000000000000000171013f\
+     d0000000000000"
+    (Mope_net.Wire.encode_response ~req_id:4
+       (Mope_net.Wire.Error
+          { code = Mope_net.Wire.Overloaded; message = "busy";
+            query = Some "q"; retry_after = Some 0.25 }))
+
+let test_format_frame () =
+  let out = Buffer.create 32 in
+  let io =
+    { Mope_net.Transport.read = (fun _ _ _ -> 0);
+      write =
+        (fun b pos len ->
+          Buffer.add_subbytes out b pos len;
+          len);
+      shutdown = ignore;
+      close = ignore }
+  in
+  Mope_net.Wire.write_frame_t io
+    (Mope_net.Wire.encode_response ~req_id:1 Mope_net.Wire.Pong);
+  check_bytes "frame" "0000000af6740c1808810000000000000001"
+    (Buffer.contents out)
+
+let test_format_snapshot () =
+  let db = Database.create () in
+  List.iter
+    (fun sql -> ignore (Database.execute db sql))
+    [ "CREATE TABLE items (id INTEGER, name TEXT, price FLOAT)";
+      "CREATE INDEX ON items (id)";
+      "INSERT INTO items VALUES (1, 'pen', 2.5)";
+      "INSERT INTO items VALUES (2, NULL, NULL)";
+      "CREATE TABLE days (d DATE, ok BOOLEAN)";
+      "INSERT INTO days VALUES (DATE '1970-01-03', TRUE)" ];
+  check_bytes "snapshot"
+    "4d4f50454442020a00000000000000ed452b6c6f000000000000000200000000000000\
+     0464617973000000000000000200000000000000016400000000000000040000000000\
+     0000026f6b000000000000000000000000000000010500000000000000020101000000\
+     000000000000000000000000056974656d730000000000000003000000000000000269\
+     64000000000000000100000000000000046e616d650000000000000003000000000000\
+     0005707269636500000000000000020000000000000002020000000000000001040000\
+     00000000000370656e0340040000000000000200000000000000020000000000000000\
+     000100000000000000026964"
+    (Storage.save_string db)
+
+let test_format_wal () =
+  with_tmp (fun path ->
+      Sys.remove path;
+      let log = Wal.open_log ~path in
+      Wal.append log "INSERT INTO t VALUES (1)";
+      Wal.append ~sync:false log "DELETE FROM t";
+      Wal.close log;
+      check_bytes "wal file"
+        "4d4f504557414c010a000000189be8f43f494e5345525420494e544f20742056414c55\
+         4553202831290000000d1d346d5944454c4554452046524f4d2074"
+        (read_file path))
+
+let test_format_shard_map () =
+  with_tmp (fun path ->
+      let map = Mope_cluster.Shard_map.create ~shards:3 ~range:100 in
+      Mope_cluster.Shard_map.set_epoch map 1 4;
+      Mope_cluster.Shard_map.save map ~path;
+      check_bytes "shard map"
+        "4d4f504553485244020a0000004044893c250000000000000064000000000000000300\
+         0000000000000000000000000000220000000000000043000000000000000100000000\
+         000000040000000000000001"
+        (read_file path))
+
 let () =
   Alcotest.run "storage"
     [ ( "snapshot",
@@ -569,4 +676,15 @@ let () =
           Alcotest.test_case "kill -9 mid-append" `Quick
             test_recover_after_sigkill;
           Alcotest.test_case "kill -9 mid-save" `Quick
-            test_snapshot_survives_sigkill ] ) ]
+            test_snapshot_survives_sigkill ] );
+      ( "formats",
+        [ Alcotest.test_case "wire query request" `Quick
+            test_format_query_request;
+          Alcotest.test_case "wire rows response" `Quick
+            test_format_rows_response;
+          Alcotest.test_case "wire error response" `Quick
+            test_format_error_response;
+          Alcotest.test_case "wire frame" `Quick test_format_frame;
+          Alcotest.test_case "snapshot" `Quick test_format_snapshot;
+          Alcotest.test_case "wal file" `Quick test_format_wal;
+          Alcotest.test_case "shard map" `Quick test_format_shard_map ] ) ]
