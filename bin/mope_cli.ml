@@ -177,6 +177,24 @@ let attack_cmd =
 
 
 (* ------------------------------------------------------------------ *)
+(* A file named on the command line that cannot be opened, created or
+   replaced is the user's error, not the program's: one line naming the
+   file, then exit 1 (left uncaught, Cmdliner would report an internal
+   error and exit 125). A failed open names its file in either exception;
+   a failure without one names the call. *)
+
+let or_file_error f =
+  try f () with
+  | Sys_error msg ->
+    Printf.eprintf "mope: %s\n%!" msg;
+    exit 1
+  | Unix.Unix_error (err, call, file) ->
+    Printf.eprintf "mope: %s: %s\n%!"
+      (if file = "" then call else file)
+      (Unix.error_message err);
+    exit 1
+
+(* ------------------------------------------------------------------ *)
 (* sql: a small shell over the embedded engine *)
 
 let render_table (result : Mope_db.Exec.result) =
@@ -247,6 +265,7 @@ let sql_cmd =
     Arg.(value & opt_all string [] & info [ "e" ] ~docv:"SQL" ~doc)
   in
   let run db_path wal_path statements =
+    or_file_error @@ fun () ->
     let open Mope_db in
     let db =
       match wal_path with
@@ -349,7 +368,7 @@ let save_cmd =
     Printf.printf "generating TPC-H at SF %g (seed %d)...\n%!" sf seed;
     let tb = Testbed.load ~sf ~seed:(Int64.of_int seed) () in
     let sizes = Testbed.sizes tb in
-    Mope_db.Storage.save (Testbed.plain tb) ~path;
+    or_file_error (fun () -> Mope_db.Storage.save (Testbed.plain tb) ~path);
     Printf.printf "saved %s (%d lineitems, %d orders, %d parts)\n" path
       sizes.Mope_workload.Tpch.lineitems sizes.Mope_workload.Tpch.orders
       sizes.Mope_workload.Tpch.parts
@@ -361,7 +380,7 @@ let load_cmd =
   let run path =
     let open Mope_db in
     let db =
-      try Storage.load ~path
+      try or_file_error (fun () -> Storage.load ~path)
       with Storage.Corrupt msg ->
         Printf.eprintf "%s: corrupt database: %s\n" path msg;
         exit 1
@@ -463,12 +482,22 @@ let serve_cmd =
        Stats wire op and the stats subcommand depend on it. *)
     Mope_obs.Metrics.set_enabled true;
     Mope_obs.Trace.set_enabled true;
+    (* A scraper needs atomic visibility, not durability: the dump is
+       renamed into place but never fsynced. *)
     let write_metrics_dump path =
       let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      output_string oc (Mope_obs.Metrics.render_prometheus ());
-      close_out oc;
+      Out_channel.with_open_text tmp (fun oc ->
+          output_string oc (Mope_obs.Metrics.render_prometheus ()));
       Sys.rename tmp path
+    in
+    (* The first dump goes out before the listener opens, so a bad path
+       fails at startup; a later failure only warns. *)
+    Option.iter
+      (fun path -> or_file_error (fun () -> write_metrics_dump path))
+      metrics_dump;
+    let dump_or_warn path =
+      try write_metrics_dump path
+      with Sys_error msg -> Printf.eprintf "mope: metrics dump: %s\n%!" msg
     in
     let tb =
       match db, wal with
@@ -480,7 +509,9 @@ let serve_cmd =
         | Some path -> Printf.printf "loading %s...\n%!" path
         | None -> Printf.printf "recovering from wal only...\n%!");
         try
-          let r = Mope_db.Storage.recover ?snapshot:db ?wal () in
+          let r =
+            or_file_error (fun () -> Mope_db.Storage.recover ?snapshot:db ?wal ())
+          in
           (match wal with
           | Some _ ->
             Printf.printf "recovered: snapshot %s, %d wal statement(s)%s\n%!"
@@ -517,8 +548,10 @@ let serve_cmd =
         `Single (Service.create ~proxies (), proxies)
       | Some file ->
         let configs =
-          try Mope_tenant.Registry.load_tenants_file file with
-          | Sys_error msg | Invalid_argument msg ->
+          try
+            or_file_error (fun () ->
+                Mope_tenant.Registry.load_tenants_file file)
+          with Invalid_argument msg ->
             Printf.eprintf "%s\n" msg;
             exit 1
         in
@@ -585,12 +618,12 @@ let serve_cmd =
       Thread.delay 0.2;
       incr ticks;
       match metrics_dump with
-      | Some path when !ticks mod 5 = 0 -> write_metrics_dump path
+      | Some path when !ticks mod 5 = 0 -> dump_or_warn path
       | Some _ | None -> ()
     done;
     print_endline "shutting down...";
     Server.shutdown server;
-    Option.iter write_metrics_dump metrics_dump;
+    Option.iter dump_or_warn metrics_dump;
     let s = Server.stats server in
     Printf.printf
       "served %d request(s) over %d connection(s), %d error(s), %d shed; \

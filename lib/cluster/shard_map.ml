@@ -82,69 +82,27 @@ let route t segments =
   Array.map List.rev out
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: magic, u32 body length, u32 CRC of body; body = u64
-   range, u64 shard count, u64 per bound, then (v2) u64 per fencing
-   epoch. Same conventions as Storage. v1 files (no epochs) still load —
+(* Persistence: magic, then the body as one {!Codec} record (u32 length,
+   u32 CRC-32, body); body = u64 range, u64 shard count, u64 per bound,
+   then (v2) u64 per fencing epoch. v1 files (no epochs) still load —
    every epoch defaults to 1, the launch epoch. *)
 
 let magic = "MOPESHRD\x02\n"
 let magic_prefix = "MOPESHRD"
 
-let put_u64 buf v =
-  for byte = 0 to 7 do
-    let shift = 8 * (7 - byte) in
-    Buffer.add_char buf
-      (Char.chr
-         (Int64.to_int
-            (Int64.logand (Int64.shift_right_logical (Int64.of_int v) shift) 0xFFL)))
-  done
-
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let rec write_all fd bytes pos len =
-  if len > 0 then
-    match Unix.write fd bytes pos len with
-    | n -> write_all fd bytes (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
-
 let save t ~path =
   let body = Buffer.create 64 in
-  put_u64 body t.range;
-  put_u64 body (Array.length t.bounds);
-  Array.iter (fun b -> put_u64 body b) t.bounds;
-  Array.iter (fun e -> put_u64 body e) t.epochs;
-  let body = Buffer.contents body in
-  let buf = Buffer.create (String.length body + 32) in
-  Buffer.add_string buf magic;
-  put_u32 buf (String.length body);
-  put_u32 buf (Int32.to_int (Crc32.digest body) land 0xFFFFFFFF);
-  Buffer.add_string buf body;
-  let data = Buffer.contents buf in
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-  (try
-     write_all fd (Bytes.unsafe_of_string data) 0 (String.length data);
-     Unix.fsync fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.close fd;
-  Sys.rename tmp path;
-  Fsutil.fsync_dir path
+  Codec.put_int body t.range;
+  Codec.put_int body (Array.length t.bounds);
+  Array.iter (Codec.put_int body) t.bounds;
+  Array.iter (Codec.put_int body) t.epochs;
+  Codec.replace_file ~path (magic ^ Codec.record (Buffer.contents body))
+
+let corrupt msg = Corrupt msg
 
 let load ~path =
   let data =
-    match open_in_bin path with
-    | exception Sys_error msg -> raise (Corrupt msg)
-    | ic ->
-      let len = in_channel_length ic in
-      let d = really_input_string ic len in
-      close_in ic;
-      d
+    try Codec.read_file path with Sys_error msg -> raise (Corrupt msg)
   in
   let mlen = String.length magic in
   if String.length data < mlen + 8
@@ -161,50 +119,34 @@ let load ~path =
       (Corrupt
          (Printf.sprintf "shard map written by a future version (%d)"
             file_version));
-  let u32 at =
-    let byte i = Char.code data.[at + i] in
-    (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
+  let total = String.length data in
+  let body =
+    match Codec.read_record data ~pos:mlen ~max_len:total with
+    | Some body when Int.equal (mlen + 8 + String.length body) total -> body
+    | _ -> raise (Corrupt "shard-map body length or checksum mismatch")
   in
-  let body_len = u32 mlen in
-  let crc = Int32.of_int (u32 (mlen + 4)) in
-  if String.length data - (mlen + 8) <> body_len then
-    raise (Corrupt "shard-map body length mismatch");
-  let body = String.sub data (mlen + 8) body_len in
-  if not (Int32.equal (Crc32.digest body) crc) then
-    raise (Corrupt "shard-map checksum mismatch");
-  let pos = ref 0 in
-  let u64 () =
-    if body_len - !pos < 8 then raise (Corrupt "truncated shard-map body");
-    let v = ref 0L in
-    for _ = 1 to 8 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code body.[!pos]));
-      incr pos
-    done;
-    let i = Int64.to_int !v in
-    if Int64.of_int i <> !v || i < 0 then raise (Corrupt "shard-map integer out of range");
-    i
-  in
-  let range = u64 () in
-  let n = u64 () in
-  if n < 1 || n > body_len / 8 then raise (Corrupt "implausible shard count");
+  let cur = Codec.cursor corrupt body in
+  let range = Codec.get_nat cur in
+  let n = Codec.get_nat cur in
+  if n < 1 || n > String.length body / 8 then
+    raise (Corrupt "implausible shard count");
   (* Explicit loop: Array.init's evaluation order is unspecified. *)
   let bounds = Array.make n 0 in
   for i = 0 to n - 1 do
-    bounds.(i) <- u64 ()
+    bounds.(i) <- Codec.get_nat cur
   done;
   let epochs =
     if file_version < 2 then None
     else begin
       let e = Array.make n 0 in
       for i = 0 to n - 1 do
-        e.(i) <- u64 ();
+        e.(i) <- Codec.get_nat cur;
         if e.(i) < 1 then raise (Corrupt "shard-map epoch below 1")
       done;
       Some e
     end
   in
-  if not (Int.equal !pos body_len) then
-    raise (Corrupt "trailing bytes in shard map");
+  if Codec.remaining cur <> 0 then raise (Corrupt "trailing bytes in shard map");
   match of_bounds ~bounds ~range with
   | t ->
     (match epochs with

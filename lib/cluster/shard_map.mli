@@ -59,10 +59,12 @@ val route : t -> (int * int) list -> (int * int) list array
 (** {1 Persistence}
 
     The map is part of cluster topology state: it must survive restarts
-    byte-exactly, or routing would silently change under the data. The
-    codec follows {!Mope_db.Storage}: magic header, big-endian integers,
-    CRC-32 over the body. Codec v2 appends the per-shard fencing epochs to
-    the body; v1 files still load with every epoch defaulting to 1. *)
+    byte-exactly, or routing would silently change under the data. It is
+    written with {!Mope_db.Codec}, the codec under snapshots, WAL records
+    and wire frames: a magic header, then the body of big-endian integers
+    as one u32-length + CRC-32 record. Format v2 appends the per-shard
+    fencing epochs to the body; v1 files still load with every epoch
+    defaulting to 1. *)
 
 exception Corrupt of string
 

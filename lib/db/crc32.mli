@@ -1,7 +1,7 @@
 (** CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-    guarding {!Storage} snapshots and {!Wal} records against torn writes
-    and bit rot. Matches zlib's [crc32], so files can be cross-checked
-    with standard tools. *)
+    in every {!Codec} record and in {!Storage} snapshots, guarding them
+    against torn writes and bit rot. Matches zlib's [crc32], so files can
+    be cross-checked with standard tools. *)
 
 val digest : string -> int32
 (** CRC of a whole string. *)

@@ -21,22 +21,6 @@ let m_wal_replayed =
 let magic_v1 = "MOPEDB\x01\n"
 let magic_v2 = "MOPEDB\x02\n"
 
-(* ------------------------------------------------------------------ *)
-(* Primitive encoders *)
-
-let put_int64 buf v =
-  for byte = 0 to 7 do
-    let shift = 8 * (7 - byte) in
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v shift) 0xFFL)))
-  done
-
-let put_int buf v = put_int64 buf (Int64.of_int v)
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
 let ty_tag = function
   | Value.TBool -> 0
   | Value.TInt -> 1
@@ -52,136 +36,56 @@ let ty_of_tag = function
   | 4 -> Value.TDate
   | n -> raise (Corrupt (Printf.sprintf "unknown type tag %d" n))
 
-let put_value buf = function
-  | Value.Null -> Buffer.add_char buf '\x00'
-  | Value.Bool b ->
-    Buffer.add_char buf '\x01';
-    Buffer.add_char buf (if b then '\x01' else '\x00')
-  | Value.Int i ->
-    Buffer.add_char buf '\x02';
-    put_int buf i
-  | Value.Float f ->
-    Buffer.add_char buf '\x03';
-    put_int64 buf (Int64.bits_of_float f)
-  | Value.Str s ->
-    Buffer.add_char buf '\x04';
-    put_string buf s
-  | Value.Date d ->
-    Buffer.add_char buf '\x05';
-    put_int buf d
-
-(* ------------------------------------------------------------------ *)
-(* Primitive decoders over a cursor *)
-
-type cursor = { data : string; mutable pos : int }
-
-(* Overflow-safe: [cur.pos + n] could wrap for a corrupt 62-bit length. *)
-let need cur n =
-  if n < 0 || n > String.length cur.data - cur.pos then
-    raise (Corrupt "truncated input")
-
-let get_byte cur =
-  need cur 1;
-  let b = Char.code cur.data.[cur.pos] in
-  cur.pos <- cur.pos + 1;
-  b
-
-let get_int64 cur =
-  need cur 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_byte cur))
-  done;
-  !v
-
-let get_int cur =
-  let v = get_int64 cur in
-  let i = Int64.to_int v in
-  if Int64.of_int i <> v then raise (Corrupt "integer out of range");
-  i
-
-(* Non-negative integers: sizes, counts, tags. *)
-let get_nat cur =
-  let v = get_int cur in
-  if v < 0 then raise (Corrupt "negative size");
-  v
-
-let get_string cur =
-  let len = get_nat cur in
-  need cur len;
-  let s = String.sub cur.data cur.pos len in
-  cur.pos <- cur.pos + len;
-  s
-
-let get_value cur =
-  match get_byte cur with
-  | 0 -> Value.Null
-  | 1 -> Value.Bool (get_byte cur = 1)
-  | 2 -> Value.Int (get_int cur)
-  | 3 -> Value.Float (Int64.float_of_bits (get_int64 cur))
-  | 4 -> Value.Str (get_string cur)
-  | 5 -> Value.Date (get_int cur)
-  | n -> raise (Corrupt (Printf.sprintf "unknown value tag %d" n))
-
-(* ------------------------------------------------------------------ *)
-
 let body_string db =
   let buf = Buffer.create (1 lsl 16) in
   let names = Database.tables db in
-  put_int buf (List.length names);
+  Codec.put_int buf (List.length names);
   List.iter
     (fun name ->
       let table = Database.table_exn db name in
       let schema = Table.schema table in
-      put_string buf name;
+      Codec.put_string buf name;
       let columns = Schema.columns schema in
-      put_int buf (List.length columns);
+      Codec.put_int buf (List.length columns);
       List.iter
         (fun c ->
-          put_string buf c.Schema.name;
-          put_int buf (ty_tag c.Schema.ty))
+          Codec.put_string buf c.Schema.name;
+          Codec.put_int buf (ty_tag c.Schema.ty))
         columns;
-      put_int buf (Table.length table);
-      Table.iter table (fun _ row -> Array.iter (put_value buf) row);
+      Codec.put_int buf (Table.length table);
+      Table.iter table (fun _ row -> Array.iter (Codec.put_value buf) row);
       let indexed =
         List.map
           (fun col -> (Schema.column_at schema col).Schema.name)
           (Table.indexed_columns table)
         |> List.sort String.compare
       in
-      put_int buf (List.length indexed);
-      List.iter (put_string buf) indexed)
+      Codec.put_int buf (List.length indexed);
+      List.iter (Codec.put_string buf) indexed)
     names;
   Buffer.contents buf
-
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
 
 let save_string db =
   let body = body_string db in
   let buf = Buffer.create (String.length body + 32) in
   Buffer.add_string buf magic_v2;
-  put_int buf (String.length body);
-  put_u32 buf (Int32.to_int (Crc32.digest body) land 0xFFFFFFFF);
+  Codec.put_int buf (String.length body);
+  Buffer.add_int32_be buf (Crc32.digest body);
   Buffer.add_string buf body;
   Buffer.contents buf
 
-(* Parse the table payload from [cur.pos] to the end of the data. *)
+(* Parse the table payload from the cursor to the end of the data. *)
 let parse_body cur =
-  let data = cur.data in
   let db = Database.create () in
-  let n_tables = get_nat cur in
+  let n_tables = Codec.get_nat cur in
   for _ = 1 to n_tables do
-    let name = get_string cur in
-    let n_cols = get_nat cur in
+    let name = Codec.get_string cur in
+    let n_cols = Codec.get_nat cur in
     if n_cols <= 0 then raise (Corrupt "table with no columns");
     let columns =
       List.init n_cols (fun _ ->
-          let col_name = get_string cur in
-          let ty = ty_of_tag (get_nat cur) in
+          let col_name = Codec.get_string cur in
+          let ty = ty_of_tag (Codec.get_nat cur) in
           { Schema.name = col_name; ty })
     in
     let schema =
@@ -192,38 +96,33 @@ let parse_body cur =
       try Database.create_table db ~name ~schema
       with Invalid_argument msg -> raise (Corrupt msg)
     in
-    let n_rows = get_nat cur in
+    let n_rows = Codec.get_nat cur in
     for _ = 1 to n_rows do
       (* Explicit loop: Array.init's evaluation order is unspecified. *)
       let row = Array.make n_cols Value.Null in
       for i = 0 to n_cols - 1 do
-        row.(i) <- get_value cur
+        row.(i) <- Codec.get_value cur
       done;
       match Table.insert table row with
       | _ -> ()
       | exception Invalid_argument msg -> raise (Corrupt msg)
     done;
-    let n_indexes = get_nat cur in
+    let n_indexes = Codec.get_nat cur in
     for _ = 1 to n_indexes do
-      let column = get_string cur in
+      let column = Codec.get_string cur in
       match Table.create_index table column with
       | () -> ()
       | exception Invalid_argument msg -> raise (Corrupt msg)
     done
   done;
-  if cur.pos <> String.length data then raise (Corrupt "trailing bytes");
+  if Codec.remaining cur <> 0 then raise (Corrupt "trailing bytes");
   db
 
 let starts_with prefix data =
   String.length data >= String.length prefix
   && String.equal (String.sub data 0 (String.length prefix)) prefix
 
-let get_u32 cur =
-  need cur 4;
-  let byte i = Char.code cur.data.[cur.pos + i] in
-  let v = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  cur.pos <- cur.pos + 4;
-  v
+let corrupt msg = Corrupt msg
 
 let load_string data =
   (* The parse must end in a database or [Corrupt] — never a stray
@@ -234,57 +133,30 @@ let load_string data =
     | Invalid_argument msg | Failure msg -> raise (Corrupt msg)
   in
   if starts_with magic_v2 data then begin
-    let cur = { data; pos = String.length magic_v2 } in
-    let body_len = get_nat cur in
-    let crc = Int32.of_int (get_u32 cur) in
-    if String.length data - cur.pos <> body_len then
+    let cur = Codec.cursor corrupt ~pos:(String.length magic_v2) data in
+    let body_len = Codec.get_nat cur in
+    let crc = Int32.of_int (Codec.get_u32 cur) in
+    if not (Int.equal (Codec.remaining cur) body_len) then
       raise (Corrupt "body length mismatch");
-    if not (Int32.equal (Crc32.sub data ~pos:cur.pos ~len:body_len) crc) then
-      raise (Corrupt "checksum mismatch");
+    if not (Int32.equal (Crc32.sub data ~pos:(Codec.pos cur) ~len:body_len) crc)
+    then raise (Corrupt "checksum mismatch");
     guarded (fun () -> parse_body cur)
   end
   else if starts_with magic_v1 data then
     (* Legacy pre-checksum snapshot: still readable; a re-save upgrades. *)
-    guarded (fun () -> parse_body { data; pos = String.length magic_v1 })
+    guarded (fun () ->
+        parse_body (Codec.cursor corrupt ~pos:(String.length magic_v1) data))
   else raise (Corrupt "bad magic header")
-
-let rec write_all fd bytes pos len =
-  if len > 0 then
-    match Unix.write fd bytes pos len with
-    | n -> write_all fd bytes (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
 
 let save db ~path =
   Trace.with_span "snapshot_save" (fun () ->
       Metrics.time m_save_seconds (fun () ->
-          let data = save_string db in
-          let tmp = path ^ ".tmp" in
-          let fd =
-            Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644
-          in
-          (try
-             write_all fd (Bytes.unsafe_of_string data) 0 (String.length data);
-             (* fsync before rename: otherwise the rename can hit the disk
-                before the data does, and a crash leaves a truncated/empty
-                snapshot sitting at the final path. *)
-             Unix.fsync fd
-           with e ->
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             raise e);
-          Unix.close fd;
-          Sys.rename tmp path;
-          (* fsync the parent directory too: the rename is only durable
-             once the directory entry pointing at the new inode is. *)
-          Fsutil.fsync_dir path))
+          Codec.replace_file ~path (save_string db)))
 
 let load ~path =
   Trace.with_span "snapshot_load" (fun () ->
       Metrics.time m_load_seconds (fun () ->
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let data = really_input_string ic len in
-          close_in ic;
-          load_string data))
+          load_string (Codec.read_file path)))
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: snapshot + longest valid WAL prefix. *)

@@ -23,11 +23,13 @@ exception Corrupt of string
 val save : Database.t -> path:string -> unit
 (** Write the whole database atomically and durably: the temp file is
     fsynced before the rename and the directory after it, so a crash
-    cannot leave a truncated snapshot at [path]. *)
+    cannot leave a truncated snapshot at [path]. Raises [Unix.Unix_error]
+    or [Sys_error] when the file cannot be written. *)
 
 val load : path:string -> Database.t
 (** Read a database written by {!save} (v2, checksummed) or by the v1
-    format; rebuilds all indexes. Raises {!Corrupt}. *)
+    format; rebuilds all indexes. Raises {!Corrupt} on malformed content
+    and [Sys_error] when [path] cannot be opened. *)
 
 val save_string : Database.t -> string
 (** The serialized bytes (used by {!save} and the tests). *)

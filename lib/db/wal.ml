@@ -22,15 +22,6 @@ let path t = t.path
 
 type replay = { statements : string list; torn : bool; valid_bytes : int }
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    Some data
-
 (* [valid_bytes] counts the header; 0 means even the header is torn. *)
 let scan data =
   let mlen = String.length magic in
@@ -43,20 +34,10 @@ let scan data =
   else if not (String.equal (String.sub data 0 mlen) magic) then
     raise (Corrupt "bad wal header")
   else begin
-    let u32 at =
-      let byte i = Char.code data.[at + i] in
-      (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-    in
     let rec go pos acc =
-      if n - pos < 8 then (acc, pos)
-      else
-        let len = u32 pos in
-        let crc = Int32.of_int (u32 (pos + 4)) in
-        if len <= 0 || len > max_record || len > n - (pos + 8) then (acc, pos)
-        else
-          let payload = String.sub data (pos + 8) len in
-          if not (Int32.equal (Crc32.digest payload) crc) then (acc, pos)
-          else go (pos + 8 + len) (payload :: acc)
+      match Codec.read_record data ~pos ~max_len:max_record with
+      | None -> (acc, pos)
+      | Some payload -> go (pos + 8 + String.length payload) (payload :: acc)
     in
     let rev_statements, valid_bytes = go mlen [] in
     { statements = List.rev rev_statements;
@@ -65,15 +46,9 @@ let scan data =
   end
 
 let replay ~path =
-  match read_file path with
-  | None -> { statements = []; torn = false; valid_bytes = 0 }
-  | Some data -> scan data
-
-let rec write_all fd bytes pos len =
-  if len > 0 then
-    match Unix.write fd bytes pos len with
-    | n -> write_all fd bytes (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
+  match Codec.read_file path with
+  | exception Sys_error _ -> { statements = []; torn = false; valid_bytes = 0 }
+  | data -> scan data
 
 let open_log ~path =
   let r = replay ~path in
@@ -82,14 +57,14 @@ let open_log ~path =
     if r.valid_bytes < String.length magic then begin
       (* Fresh file (or a header torn by a first-write crash): start over. *)
       Unix.ftruncate fd 0;
-      write_all fd (Bytes.of_string magic) 0 (String.length magic)
+      Codec.write_all (Unix.write fd) magic
     end
     else if r.torn then
       (* Drop the torn tail so new records extend the valid prefix. *)
       Unix.ftruncate fd r.valid_bytes;
     Unix.fsync fd;
     (* O_CREAT may have made a new directory entry; make it durable. *)
-    Fsutil.fsync_dir path;
+    Codec.fsync_dir path;
     ignore (Unix.lseek fd 0 Unix.SEEK_END);
     { fd; path; closed = false }
   with e ->
@@ -107,19 +82,10 @@ let append ?(sync = true) t statement =
     invalid_arg "Wal.append: bad statement length";
   (* One write(2) per record: a crash can tear this record but cannot
      interleave it with a neighbour. *)
-  let buf = Bytes.create (8 + len) in
-  let put_u32 at v =
-    Bytes.set buf at (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set buf (at + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set buf (at + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set buf (at + 3) (Char.chr (v land 0xFF))
-  in
-  put_u32 0 len;
-  put_u32 4 (Int32.to_int (Crc32.digest statement) land 0xFFFFFFFF);
-  Bytes.blit_string statement 0 buf 8 len;
+  let record = Codec.record statement in
   Trace.with_span "wal_append" (fun () ->
       Metrics.time m_append_seconds (fun () ->
-          write_all t.fd buf 0 (8 + len);
+          Codec.write_all (Unix.write t.fd) record;
           if sync then begin
             Metrics.inc m_fsyncs;
             Unix.fsync t.fd
@@ -137,11 +103,11 @@ let reset ~path =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.ftruncate fd 0;
-      write_all fd (Bytes.of_string magic) 0 (String.length magic);
+      Codec.write_all (Unix.write fd) magic;
       Unix.fsync fd);
   (* The truncation (or O_CREAT creation) is only durable once the
      directory entry is. *)
-  Fsutil.fsync_dir path
+  Codec.fsync_dir path
 
 (* ------------------------------------------------------------------ *)
 (* Streaming cursor for replication: read the records that follow a
@@ -161,11 +127,7 @@ type chunk = {
 let default_chunk_bytes = 1 lsl 20
 
 let since ?(max_bytes = default_chunk_bytes) ~path ~from_pos () =
-  let scanned =
-    match read_file path with
-    | None -> { statements = []; torn = false; valid_bytes = 0 }
-    | Some data -> scan data
-  in
+  let scanned = replay ~path in
   if scanned.valid_bytes < head_pos then
     (* Missing or still-header-torn log: nothing to ship. A follower that
        had already consumed records must restart from scratch. *)

@@ -1,9 +1,9 @@
 (** Append-only write-ahead log of SQL mutations between {!Storage}
     snapshots.
 
-    The file is a magic header followed by self-delimiting records, each a
-    big-endian [u32] payload length, a [u32] CRC-32 of the payload, then
-    the payload (the SQL statement text). A crash mid-append leaves a
+    The file is a magic header followed by self-delimiting records
+    ({!Codec.record}), each a big-endian [u32] payload length, a [u32]
+    CRC-32 of the payload, then the payload (the SQL statement text). A crash mid-append leaves a
     {e torn} final record — a partial header, a short payload, or a CRC
     mismatch — which {!replay} detects and discards: recovery applies the
     longest valid prefix and never fails on a torn tail. Only a damaged

@@ -65,9 +65,11 @@ let taint_sanitizers =
    trace annotation is an exfiltration channel exactly like a log line, so
    no secret-named value may reach Metrics.* / Trace.* either. Plan_cache
    holds statement text destined for the untrusted server, so cache keys
-   must never be built from secret-named values. *)
+   must never be built from secret-named values. Codec is the byte encoder
+   under Wire, Storage, Wal and the shard map: whatever reaches it lands
+   in a frame or a file. *)
 let sink_modules =
-  [ "Printf"; "Format"; "Fmt"; "Logs"; "Wire"; "Storage"; "Wal";
+  [ "Printf"; "Format"; "Fmt"; "Logs"; "Wire"; "Storage"; "Wal"; "Codec";
     "Obs"; "Mope_obs"; "Metrics"; "Trace"; "Plan_cache" ]
 
 let sink_values =

@@ -1,13 +1,14 @@
 (** The proxy's wire protocol: versioned, length-prefixed binary frames.
 
-    Every message travels as one frame: a 4-byte big-endian payload length,
-    a 4-byte CRC-32 of the payload (so in-flight corruption is detected at
-    the framing layer instead of being decoded into wrong data), then the
-    payload. The payload starts with a 1-byte protocol version and
-    a 1-byte message tag; the body is self-describing in the same style as
-    {!Mope_db.Storage} (big-endian fixed-width integers, length-prefixed
-    strings, tagged values — no [Marshal], so frames are stable across
-    compiler versions and languages). See DESIGN.md for the exact layout.
+    Every message travels as one frame, a {!Mope_db.Codec.record}: a 4-byte
+    big-endian payload length, a 4-byte CRC-32 of the payload (so in-flight
+    corruption is detected at the framing layer instead of being decoded
+    into wrong data), then the payload. The payload starts with a 1-byte
+    protocol version and a 1-byte message tag; the body is written with
+    the same {!Mope_db.Codec} as snapshots and WAL records (big-endian
+    fixed-width integers, length-prefixed strings, tagged values — no
+    [Marshal], so frames are stable across compiler versions and
+    languages). See DESIGN.md for the exact layout.
 
     Decoders never trust the peer: bad versions, unknown tags, truncated
     bodies, trailing bytes and oversized length prefixes all raise

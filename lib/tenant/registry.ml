@@ -44,11 +44,7 @@ let parse_tenants content =
     invalid_arg "Registry.parse_tenants: duplicate tenant id";
   configs
 
-let load_tenants_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_tenants (really_input_string ic (in_channel_length ic)))
+let load_tenants_file path = parse_tenants (Mope_db.Codec.read_file path)
 
 type generation = {
   enc : Encrypted_db.t;

@@ -1,8 +1,9 @@
 open Mope_crypto
 
 (* Both tables are bounded FIFO: a hashtable for lookup plus a queue of
-   keys in insertion order for eviction. Entries evicted or consumed stay
-   in the queue as dead keys and are skipped when popped. *)
+   keys in insertion order for eviction. Entries consumed or revoked stay
+   in the queue as dead keys, skipped when popped, until the queue holds
+   twice its cap; then the dead keys are dropped in one pass. *)
 type t = {
   lock : Mutex.t;
   rng : Mope_stats.Rng.t;
@@ -45,12 +46,25 @@ let rec make_room table order cap =
       Hashtbl.remove table k;
       make_room table order cap
 
+(* Add a key, evicting the oldest live one when the table is full. A
+   client that opens, authenticates and revokes in a loop never fills the
+   table, so dead keys are also compacted away here; compaction leaves at
+   most [cap] keys behind and runs at most once per [cap] additions. *)
+let remember table order cap key tenant =
+  make_room table order cap;
+  Hashtbl.replace table key tenant;
+  Queue.push key order;
+  if Queue.length order > 2 * cap then begin
+    let live = Queue.create () in
+    Queue.iter (fun k -> if Hashtbl.mem table k then Queue.push k live) order;
+    Queue.clear order;
+    Queue.transfer live order
+  end
+
 let challenge t ~tenant =
   locked t (fun () ->
-      make_room t.nonces t.nonce_order t.max_pending;
       let nonce = mint t 32 in
-      Hashtbl.replace t.nonces nonce tenant;
-      Queue.push nonce t.nonce_order;
+      remember t.nonces t.nonce_order t.max_pending nonce tenant;
       nonce)
 
 (* Timing-independent equality: always walks both strings fully. *)
@@ -72,10 +86,8 @@ let authenticate t ~tenant ~nonce ~mac ~secret =
         if owner <> tenant then None
         else if not (mac_equal mac (Hmac.mac_hex ~key:secret nonce)) then None
         else begin
-          make_room t.tokens t.token_order t.max_sessions;
           let token = mint t 32 in
-          Hashtbl.replace t.tokens token tenant;
-          Queue.push token t.token_order;
+          remember t.tokens t.token_order t.max_sessions token tenant;
           Some token
         end)
 

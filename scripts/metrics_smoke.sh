@@ -7,6 +7,9 @@
 #   serve --metrics-dump PATH   periodic atomic Prometheus dump
 #   mope stats                  Get_stats over the wire (text + traces)
 #   mope stats --json           JSON rendering
+#   load/save/sql --wal/serve --metrics-dump on unusable paths: one line
+#                               naming the path and exit 1, serve before
+#                               it listens
 #
 # Usage: scripts/metrics_smoke.sh [PORT]
 set -euo pipefail
@@ -37,6 +40,25 @@ fail() {
 
 dune build bin/mope_cli.exe
 
+# A path the CLI cannot open is reported in one line naming it, with exit
+# status 1 (an uncaught exception would exit 125). serve writes its first
+# metrics dump before it listens, so a bad dump path stops it at startup.
+expect_path_error() {
+  local path="$1" out status=0
+  shift
+  out="$("$@" 2>&1 </dev/null)" || status=$?
+  [[ "$status" -eq 1 ]] || fail "'$*' exited $status, want 1: $out"
+  grep -qF "$path" <<<"$out" || fail "'$*' did not name $path: $out"
+  if grep -q "listening" <<<"$out"; then fail "'$*' listened first: $out"; fi
+}
+NO_DIR="$WORKDIR/no-such-dir"
+expect_path_error "$WORKDIR/nonexistent.db" $MOPE load "$WORKDIR/nonexistent.db"
+expect_path_error "$NO_DIR/x.db" $MOPE save --sf 0.0005 "$NO_DIR/x.db"
+expect_path_error "$NO_DIR/x.wal" $MOPE sql --wal "$NO_DIR/x.wal"
+expect_path_error "$NO_DIR/m.prom" \
+  $MOPE serve --port "$PORT" --sf 0.002 --metrics-dump "$NO_DIR/m.prom"
+echo "bad paths OK: load, save, sql --wal and serve --metrics-dump exit 1"
+
 echo "starting mope serve on port $PORT (metrics dump: $DUMP)"
 $MOPE serve --port "$PORT" --sf 0.002 --metrics-dump "$DUMP" \
   >"$SERVE_LOG" 2>&1 &
@@ -58,12 +80,13 @@ done
 STATS_TEXT="$($MOPE stats --port "$PORT")"
 STATS_JSON="$($MOPE stats --port "$PORT" --json)"
 
-# The periodic dump is written about once a second; wait for one that
-# already reflects the traffic above.
+# The periodic dump is written about once a second (and once before the
+# listener opens, with nothing counted); wait for one that already
+# reflects the traffic above.
 for _ in $(seq 1 20); do
-  if [[ -s "$DUMP" ]] && grep -q "mope_server_requests_total" "$DUMP"; then
-    break
-  fi
+  REQS=$(grep '^mope_server_requests_total' "$DUMP" 2>/dev/null \
+    | awk '{print int($2)}')
+  [[ "${REQS:-0}" -ge 5 ]] && break
   sleep 0.5
 done
 [[ -s "$DUMP" ]] || fail "metrics dump was never written"

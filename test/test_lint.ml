@@ -34,6 +34,11 @@ let test_secret_flow_violation () =
   check_trips ~file:"lib/db/leak.ml"
     "let persist key = { Wire.payload = key }" "secret-flow"
     "secret into sink record field";
+  (* Codec is the byte encoder under Wire, Storage and Wal, so it is a
+     sink of its own: a secret reaching it lands in a frame or a file. *)
+  check_flags ~file:"lib/db/leak.ml"
+    "let persist buf key = Codec.put_string buf key" [ "secret-flow" ]
+    "secret into the binary codec";
   (* The observability layer is a sink: a secret leaking into a metric or a
      trace item would be exfiltrated by every Stats scrape. *)
   check_trips ~file:"lib/ope/leak.ml"
@@ -62,6 +67,9 @@ let test_secret_flow_clean () =
   check_clean ~file:"lib/ope/fine.ml"
     "let count c draws = Metrics.observe c (float_of_int draws)"
     "non-secret metric observation is clean";
+  check_clean ~file:"lib/db/fine.ml"
+    "let persist buf name = Codec.put_string buf name"
+    "non-secret string into the binary codec is clean";
   check_clean ~file:"lib/system/fine.ml"
     "let count rows = Trace.add_item \"rows_kept\" rows"
     "non-secret trace item is clean";

@@ -134,6 +134,33 @@ let test_session_bounds () =
   Alcotest.(check (option string)) "newest session lives" (Some "acme")
     (Session.tenant_of s ~token:t4)
 
+(* A consumed nonce or a revoked token leaves its table at once; the
+   eviction queue behind the table must not keep it either, or a client
+   that opens, authenticates and revokes in a loop grows server memory
+   while [pending] and [live] both read 0. *)
+let test_session_queues_bounded () =
+  let max_pending = 8 and max_sessions = 8 in
+  let s = Session.create ~max_pending ~max_sessions ~seed:6L () in
+  let base = Obj.reachable_words (Obj.repr s) in
+  for _ = 1 to 20_000 do
+    let nonce = Session.challenge s ~tenant:"acme" in
+    match
+      Session.authenticate s ~tenant:"acme" ~nonce ~mac:(mac ~secret:"x" nonce)
+        ~secret:"x"
+    with
+    | Some token -> Session.revoke s ~token
+    | None -> Alcotest.fail "expected a token"
+  done;
+  Alcotest.(check int) "no pending challenge" 0 (Session.pending s);
+  Alcotest.(check int) "no live session" 0 (Session.live s);
+  (* A queued key costs a queue cell and a 32-byte string, under 16 words;
+     each queue may hold up to twice its table's cap. *)
+  let bound = base + (16 * 2 * (max_pending + max_sessions)) in
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words > bound then
+    Alcotest.failf "session state holds %d words after 20000 handshakes, \
+                    bound %d" words bound
+
 (* ------------------------------------------------------------------ *)
 (* The multi-tenant service over a real TPC-H testbed *)
 
@@ -592,7 +619,9 @@ let () =
       ( "session",
         [ Alcotest.test_case "handshake" `Quick test_session_handshake;
           Alcotest.test_case "rejections" `Quick test_session_rejections;
-          Alcotest.test_case "bounded tables" `Quick test_session_bounds ] );
+          Alcotest.test_case "bounded tables" `Quick test_session_bounds;
+          Alcotest.test_case "bounded eviction queues" `Quick
+            test_session_queues_bounded ] );
       ( "service",
         [ Alcotest.test_case "handshake and query" `Slow
             test_handshake_and_query;
