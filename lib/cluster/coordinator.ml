@@ -221,29 +221,14 @@ let forget_resolutions t =
       Hashtbl.reset t.memo;
       t.memo_gen <- t.memo_gen + 1)
 
-let rec resolve_expr t expr =
-  let r = resolve_expr t in
-  match expr with
-  | Sql_ast.Lit _ | Sql_ast.Col _ | Sql_ast.Agg (_, None) -> expr
-  | Sql_ast.Binop (op, a, b) -> Sql_ast.Binop (op, r a, r b)
-  | Sql_ast.Cmp (op, a, b) -> Sql_ast.Cmp (op, r a, r b)
-  | Sql_ast.And (a, b) -> Sql_ast.And (r a, r b)
-  | Sql_ast.Or (a, b) -> Sql_ast.Or (r a, r b)
-  | Sql_ast.Not e -> Sql_ast.Not (r e)
-  | Sql_ast.Between (e, lo, hi) -> Sql_ast.Between (r e, r lo, r hi)
-  | Sql_ast.In_list (e, es) -> Sql_ast.In_list (r e, List.map r es)
+let rec resolve_expr t = function
   | Sql_ast.In_select (e, inner) -> (
     (* An empty IN-list does not parse; x IN (empty set) is false for every
        x, NULL included. *)
     match resolve_subquery t inner with
     | [] -> Sql_ast.Lit (Value.Bool false)
-    | vs -> Sql_ast.In_list (r e, vs))
-  | Sql_ast.Like (e, pat) -> Sql_ast.Like (r e, pat)
-  | Sql_ast.Is_null e -> Sql_ast.Is_null (r e)
-  | Sql_ast.Case (arms, else_) ->
-    Sql_ast.Case
-      (List.map (fun (c, v) -> (r c, r v)) arms, Option.map r else_)
-  | Sql_ast.Agg (kind, Some e) -> Sql_ast.Agg (kind, Some (r e))
+    | vs -> Sql_ast.In_list (resolve_expr t e, vs))
+  | expr -> Sql_ast.map_children (resolve_expr t) expr
 
 let resolve_template t (template : Sql_ast.select) =
   match template.Sql_ast.where with

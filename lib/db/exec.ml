@@ -116,35 +116,18 @@ let resolve_in sources (qualifier, name) =
 
 let env_of sources = { Eval.resolve = resolve_in sources }
 
-(* Column references occurring in an expression (subqueries excluded: they
-   resolve in their own scope). *)
-let rec column_refs expr acc =
-  match expr with
-  | Lit _ -> acc
-  | Col (q, n) -> (q, n) :: acc
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    column_refs a (column_refs b acc)
-  | Not e | Like (e, _) | Is_null e -> column_refs e acc
-  | Between (e, lo, hi) -> column_refs e (column_refs lo (column_refs hi acc))
-  | In_list (e, es) -> List.fold_left (fun acc e -> column_refs e acc) (column_refs e acc) es
-  | In_select (e, _) -> column_refs e acc
-  | Case (arms, else_) ->
-    let acc =
-      List.fold_left
-        (fun acc (c, v) -> column_refs c (column_refs v acc))
-        acc arms
-    in
-    (match else_ with Some e -> column_refs e acc | None -> acc)
-  | Agg (_, Some e) -> column_refs e acc
-  | Agg (_, None) -> acc
-
+(* Whether every column reference resolves against [sources] (nested
+   selects excluded: they resolve in their own scope). *)
 let refs_within sources expr =
-  List.for_all
-    (fun ref_ ->
-      match resolve_in sources ref_ with
-      | _ -> true
-      | exception Eval.Eval_error _ -> false)
-    (column_refs expr [])
+  not
+    (Sql_ast.exists
+       (function
+         | Col (q, n) -> (
+           match resolve_in sources (q, n) with
+           | _ -> false
+           | exception Eval.Eval_error _ -> true)
+         | _ -> false)
+       expr)
 
 (* ------------------------------------------------------------------ *)
 (* Sargable range extraction *)
@@ -357,40 +340,13 @@ let concat_rows a b =
 
 let rec collect_aggs expr acc =
   match expr with
-  | Agg (kind, arg) -> if List.mem (kind, arg) acc then acc else (kind, arg) :: acc
-  | Lit _ | Col _ -> acc
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    collect_aggs a (collect_aggs b acc)
-  | Not e | Like (e, _) | Is_null e -> collect_aggs e acc
-  | Between (e, lo, hi) -> collect_aggs e (collect_aggs lo (collect_aggs hi acc))
-  | In_list (e, es) -> List.fold_left (fun acc e -> collect_aggs e acc) (collect_aggs e acc) es
-  | In_select (e, _) -> collect_aggs e acc
-  | Case (arms, else_) ->
-    let acc =
-      List.fold_left (fun acc (c, v) -> collect_aggs c (collect_aggs v acc)) acc arms
-    in
-    (match else_ with Some e -> collect_aggs e acc | None -> acc)
+  | Agg (kind, arg) -> (kind, arg) :: acc
+  | e -> List.fold_left (fun acc c -> collect_aggs c acc) acc (Sql_ast.children e)
 
 let rec substitute_aggs expr lookup =
   match expr with
   | Agg (kind, arg) -> Lit (lookup (kind, arg))
-  | Lit _ | Col _ -> expr
-  | Binop (op, a, b) -> Binop (op, substitute_aggs a lookup, substitute_aggs b lookup)
-  | Cmp (op, a, b) -> Cmp (op, substitute_aggs a lookup, substitute_aggs b lookup)
-  | And (a, b) -> And (substitute_aggs a lookup, substitute_aggs b lookup)
-  | Or (a, b) -> Or (substitute_aggs a lookup, substitute_aggs b lookup)
-  | Not e -> Not (substitute_aggs e lookup)
-  | Is_null e -> Is_null (substitute_aggs e lookup)
-  | Like (e, p) -> Like (substitute_aggs e lookup, p)
-  | Between (e, lo, hi) ->
-    Between (substitute_aggs e lookup, substitute_aggs lo lookup, substitute_aggs hi lookup)
-  | In_list (e, es) ->
-    In_list (substitute_aggs e lookup, List.map (fun e -> substitute_aggs e lookup) es)
-  | In_select (e, s) -> In_select (substitute_aggs e lookup, s)
-  | Case (arms, else_) ->
-    Case
-      ( List.map (fun (c, v) -> (substitute_aggs c lookup, substitute_aggs v lookup)) arms,
-        Option.map (fun e -> substitute_aggs e lookup) else_ )
+  | e -> Sql_ast.map_children (fun c -> substitute_aggs c lookup) e
 
 (* Compute one aggregate over the rows of a group. *)
 let compute_agg ~compile_row (kind, arg) rows =

@@ -74,30 +74,38 @@ let or_of_list exprs = fold_right_nonempty (fun a b -> Or (a, b)) exprs
 
 let and_of_list exprs = fold_right_nonempty (fun a b -> And (a, b)) exprs
 
-let rec has_aggregate = function
-  | Agg _ -> true
-  | Lit _ | Col _ -> false
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    has_aggregate a || has_aggregate b
-  | Not e | Like (e, _) | Is_null e -> has_aggregate e
-  | Between (e, lo, hi) -> has_aggregate e || has_aggregate lo || has_aggregate hi
-  | In_list (e, es) -> has_aggregate e || List.exists has_aggregate es
-  | In_select (e, _) -> has_aggregate e
+(* The one list of each constructor's sub-expressions. The statement
+   inside [In_select] is not a child: it is its own scope. *)
+let children = function
+  | Lit _ | Col _ | Agg (_, None) -> []
+  | Not e | Like (e, _) | Is_null e | In_select (e, _) | Agg (_, Some e) -> [ e ]
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> [ a; b ]
+  | Between (e, lo, hi) -> [ e; lo; hi ]
+  | In_list (e, es) -> e :: es
   | Case (arms, else_) ->
-    List.exists (fun (c, v) -> has_aggregate c || has_aggregate v) arms
-    || (match else_ with Some e -> has_aggregate e | None -> false)
+    List.concat_map (fun (c, v) -> [ c; v ]) arms @ Option.to_list else_
 
-let rec has_subquery = function
-  | In_select _ -> true
-  | Lit _ | Col _ | Agg (_, None) -> false
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    has_subquery a || has_subquery b
-  | Not e | Like (e, _) | Is_null e | Agg (_, Some e) -> has_subquery e
-  | Between (e, lo, hi) -> has_subquery e || has_subquery lo || has_subquery hi
-  | In_list (e, es) -> has_subquery e || List.exists has_subquery es
+let map_children f = function
+  | (Lit _ | Col _ | Agg (_, None)) as e -> e
+  | Binop (op, a, b) -> Binop (op, f a, f b)
+  | Cmp (op, a, b) -> Cmp (op, f a, f b)
+  | And (a, b) -> And (f a, f b)
+  | Or (a, b) -> Or (f a, f b)
+  | Not e -> Not (f e)
+  | Between (e, lo, hi) -> Between (f e, f lo, f hi)
+  | In_list (e, es) -> In_list (f e, List.map f es)
+  | In_select (e, s) -> In_select (f e, s)
+  | Like (e, pat) -> Like (f e, pat)
   | Case (arms, else_) ->
-    List.exists (fun (c, v) -> has_subquery c || has_subquery v) arms
-    || (match else_ with Some e -> has_subquery e | None -> false)
+    Case (List.map (fun (c, v) -> (f c, f v)) arms, Option.map f else_)
+  | Is_null e -> Is_null (f e)
+  | Agg (kind, Some e) -> Agg (kind, Some (f e))
+
+let rec exists p e = p e || List.exists (exists p) (children e)
+
+let has_aggregate = exists (function Agg _ -> true | _ -> false)
+
+let has_subquery = exists (function In_select _ -> true | _ -> false)
 
 let binop_symbol = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 

@@ -59,6 +59,26 @@ val or_of_list : expr list -> expr
 val and_of_list : expr list -> expr
 (** Right-fold a non-empty list back into [And]s. *)
 
+(** {2 Traversal}
+
+    The one description of the tree's shape. The statement inside
+    [In_select] is not a child: it resolves in its own scope, so a
+    walker that needs it (the proxy's column collection, the
+    coordinator's subquery resolution) matches [In_select] itself. *)
+
+val children : expr -> expr list
+(** The direct sub-expressions, left to right: both operands, the
+    [BETWEEN] value and bounds, the [IN] value then its list, each [CASE]
+    arm's condition then result then the [ELSE], an aggregate's argument,
+    and the left side of [IN (SELECT …)]. *)
+
+val map_children : (expr -> expr) -> expr -> expr
+(** Rebuild the node with [f] applied to each of its {!children}. *)
+
+val exists : (expr -> bool) -> expr -> bool
+(** Whether the expression or a descendant through {!children}
+    satisfies the predicate. *)
+
 val has_aggregate : expr -> bool
 (** Whether an [Agg] node occurs (outside nested selects). *)
 

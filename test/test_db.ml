@@ -413,6 +413,56 @@ let test_parser_roundtrip =
     (QCheck.make expr_gen ~print:Sql_ast.expr_to_string)
     (fun e -> Sql_parser.parse_expr (Sql_ast.expr_to_string e) = e)
 
+(* Every constructor, with every arity the traversal distinguishes:
+   multi-arm CASE with and without ELSE, each aggregate with and without an
+   argument, and IN (SELECT …) around a statement of its own. *)
+let traversal_gen =
+  let open QCheck.Gen in
+  let open Sql_ast in
+  let inner = Sql_parser.parse "SELECT max(x) FROM t WHERE x > 1" in
+  let leaf =
+    oneof
+      [ map (fun i -> Lit (Value.Int i)) (int_range (-9) 9);
+        oneofl [ Col (None, "a"); Col (Some "t", "b") ] ]
+  in
+  let agg = oneofl [ Count; Sum; Avg; Min; Max ] in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else begin
+        let sub = self (depth - 1) in
+        oneof
+          [ leaf;
+            map3 (fun op a b -> Binop (op, a, b)) (oneofl [ Add; Sub; Mul; Div ]) sub sub;
+            map3 (fun op a b -> Cmp (op, a, b)) (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ]) sub sub;
+            map2 (fun a b -> And (a, b)) sub sub;
+            map2 (fun a b -> Or (a, b)) sub sub;
+            map (fun a -> Not a) sub;
+            map3 (fun a lo hi -> Between (a, lo, hi)) sub sub sub;
+            map2 (fun a es -> In_list (a, es)) sub (list_size (int_range 1 3) sub);
+            map (fun a -> In_select (a, inner)) sub;
+            map (fun a -> Like (a, "a%")) sub;
+            map2
+              (fun arms e -> Case (arms, e))
+              (list_size (int_range 1 3) (pair sub sub))
+              (opt sub);
+            map (fun a -> Is_null a) sub;
+            map2 (fun k a -> Agg (k, a)) agg (opt sub) ]
+      end)
+    3
+
+let arb_traversal = QCheck.make traversal_gen ~print:Sql_ast.expr_to_string
+
+let test_map_children_identity =
+  QCheck.Test.make ~name:"map_children Fun.id is the identity" ~count:500
+    arb_traversal (fun e -> Sql_ast.map_children Fun.id e = e)
+
+let test_map_children_children =
+  let f e = Sql_ast.Not e in
+  QCheck.Test.make ~name:"children (map_children f e) = List.map f (children e)"
+    ~count:500 arb_traversal (fun e ->
+      Sql_ast.children (Sql_ast.map_children f e) = List.map f (Sql_ast.children e))
+
 let test_select_to_string_roundtrip () =
   let sql =
     "SELECT grp AS g, sum(v * 2) FROM items i, other o WHERE i.x = o.y AND v IN \
@@ -1462,6 +1512,9 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parser_errors;
           QCheck_alcotest.to_alcotest test_parser_roundtrip;
           Alcotest.test_case "select round-trip" `Quick test_select_to_string_roundtrip ] );
+      ( "sql-traversal",
+        [ QCheck_alcotest.to_alcotest test_map_children_identity;
+          QCheck_alcotest.to_alcotest test_map_children_children ] );
       ( "null-distinct-having",
         [ Alcotest.test_case "IS NULL" `Quick test_is_null_predicate;
           Alcotest.test_case "SELECT DISTINCT" `Quick test_select_distinct;
