@@ -5,11 +5,12 @@
      caching fast path on (plan cache, proxy segment cache, OPE encrypt
      array and decrypt memo) versus off (plan caching off, segment cache
      off, twin built with [ope_cache:false]), each replaying the pool in
-     lockstep. Then one warmed cached stack: a warm lockstep replay, and
-     the pipelined client (wire v8, [Client.query_batch]) swept over
-     depth x connections against it. A sweep point's [batch_*] latency is
-     the whole window's round trip, its [amortized_*] latency that divided
-     by the window's size.
+     lockstep. Then one warmed cached stack: the pipelined client (wire
+     v8, [Client.query_batch]) swept over depth x connections, each point
+     between two warm lockstep replays (windows) and compared with the
+     pair. A sweep point's [batch_*] latency is the whole pipelined
+     window's round trip, its [amortized_*] latency that divided by the
+     window's size; lockstep_warm pools every lockstep window.
    - cluster: [Service] whose proxies fetch through [Topology.fetch_many]
      over K in {1, 2, 4} loopback shard primaries, rho = m. K = 1 is the
      in-sweep baseline, so the ratios price the fan-out itself.
@@ -33,8 +34,8 @@
    - a section that did not complete, or a run missing from its report;
    - serving: plan- or segment-cache use in the uncached config, a
      cached config without hits on both, a cached-vs-uncached wall
-     speedup below 1.2, or a pipelined point below 0.7x the warm
-     lockstep rows/s;
+     speedup below 1.2, or a pipelined point below 0.7x the rows/s of
+     the lockstep windows run just before and after it;
    - tenant: a rotation that did not cut over.
 
    Usage: macro.exe [SECTION...] [--quick] [--seed N] [--out DIR]
@@ -278,7 +279,7 @@ let windows gate ~rounds ~depth ~conns c =
          List.map (fun w -> (col, w)) (chunks depth (List.filter (on col) mine)))
        proxy_seeds)
 
-let pipelined_point gate ~port ~rounds ~depth ~conns ~lockstep =
+let pipelined_point gate ~port ~rounds ~depth ~conns =
   let share = Array.init conns (windows gate ~rounds ~depth ~conns) in
   let per_conn = Array.length share.(0) in
   (* Equal shares: the pool size is a multiple of every connection count. *)
@@ -314,53 +315,69 @@ let pipelined_point gate ~port ~rounds ~depth ~conns ~lockstep =
                 amortized := (ms /. float_of_int (List.length idxs)) :: !amortized);
             ms)
       in
-      let metrics =
-        [ ("depth", float_of_int depth, "requests");
-          ("connections", float_of_int conns, "connections") ]
-        @ throughput t o
-        @ latency ~prefix:"batch_" o.Closed_loop.latencies_ms
-        @ latency ~prefix:"amortized_" (Array.of_list (List.rev !amortized))
-      in
-      let vs_lockstep mine theirs =
-        Sample.ratio (lookup metrics mine) (value lockstep theirs)
-      in
       { name = Printf.sprintf "pipelined_d%d_c%d" depth conns;
         point = ceiling;
         outcome = o;
         metrics =
-          metrics
-          @ [ ("vs_lockstep_rows_per_s", vs_lockstep "rows_per_s" "rows_per_s", "ratio");
-              ("vs_lockstep_amortized_p95", vs_lockstep "amortized_p95_ms" "p95_ms", "ratio") ]
-      })
+          [ ("depth", float_of_int depth, "requests");
+            ("connections", float_of_int conns, "connections") ]
+          @ throughput t o
+          @ latency ~prefix:"batch_" o.Closed_loop.latencies_ms
+          @ latency ~prefix:"amortized_" (Array.of_list (List.rev !amortized)) })
 
-(* One warmed cached stack: a warm lockstep replay, then every sweep
-   point against it. *)
+(* Lockstep windows, each a (tally, outcome) replay, pooled into one run:
+   rows over their summed wall time, latencies in window order. *)
+let lockstep_run name windows =
+  let t = tally () in
+  List.iter
+    (fun (w, _) ->
+      ignore (Atomic.fetch_and_add t.queries (Atomic.get w.queries));
+      ignore (Atomic.fetch_and_add t.rows (Atomic.get w.rows)))
+    windows;
+  let o = Closed_loop.concat (List.map snd windows) in
+  { name;
+    point = ceiling;
+    outcome = o;
+    metrics =
+      (("windows", float_of_int (List.length windows), "windows") :: throughput t o)
+      @ latency o.Closed_loop.latencies_ms }
+
+let versus lockstep p =
+  let ratio mine theirs = Sample.ratio (value p mine) (value lockstep theirs) in
+  extend p
+    [ ("lockstep_rows_per_s", value lockstep "rows_per_s", "rows/s");
+      ("vs_lockstep_rows_per_s", ratio "rows_per_s" "rows_per_s", "ratio");
+      ("vs_lockstep_amortized_p95", ratio "amortized_p95_ms" "p95_ms", "ratio") ]
+
+(* One warmed cached stack. Lockstep windows alternate with the sweep
+   points, and each point is judged against the two windows run just
+   before and just after it, so a drift in the host's speed over the sweep
+   moves a point and its reference together. The lockstep_warm run pools
+   every window. *)
 let serving_pipelined tb gate ~rounds ~depths ~conns =
   serving_stack tb ~caching:true (fun port ->
-      let lockstep =
-        with_client port (fun client ->
+      with_client port (fun client ->
+          (* Warm every cache layer, so each window and point measures the
+             steady state rather than whichever ran first. *)
+          for i = 0 to Gate.size gate - 1 do
+            ignore (query gate (tally ()) client i)
+          done;
+          let window () =
             let t = tally () in
-            (* Warm every cache layer, so each point measures the steady
-               state rather than whichever point happened to run first. *)
-            for i = 0 to Gate.size gate - 1 do
-              ignore (query gate (tally ()) client i)
-            done;
-            let o = replay gate t client ~rounds in
-            show
-              { name = "lockstep_warm";
-                point = ceiling;
-                outcome = o;
-                metrics = throughput t o @ latency o.Closed_loop.latencies_ms })
-      in
-      let points =
-        List.concat_map
-          (fun depth ->
-            List.map
-              (fun conns -> show (pipelined_point gate ~port ~rounds ~depth ~conns ~lockstep))
-              conns)
-          depths
-      in
-      (lockstep, points))
+            (t, replay gate t client ~rounds)
+          in
+          let sweep = List.concat_map (fun d -> List.map (fun c -> (d, c)) conns) depths in
+          let first = window () in
+          let _, windows, points =
+            List.fold_left
+              (fun (before, windows, points) (depth, conns) ->
+                let p = pipelined_point gate ~port ~rounds ~depth ~conns in
+                let after = window () in
+                let p = show (versus (lockstep_run "adjacent" [ before; after ]) p) in
+                (after, after :: windows, p :: points))
+              (first, [ first ], []) sweep
+          in
+          (show (lockstep_run "lockstep_warm" (List.rev windows)), List.rev points)))
 
 let serving tb ~quick ~seed =
   let per_template, rounds = if quick then (2, 3) else (4, 6) in
